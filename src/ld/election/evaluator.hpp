@@ -174,7 +174,7 @@ double exact_direct_probability_weighted(
     const model::Instance& instance, std::span<const std::uint64_t> initial_weights);
 
 /// Lemma-4 normal approximation of P^D(G) (O(n) instead of the exact
-/// O(n²) DP); used by the evaluator when `approximate_tally` is set.
+/// O(n·σ) DP); used by the evaluator when `approximate_tally` is set.
 double approx_direct_probability(const model::Instance& instance,
                                  std::span<const std::uint64_t> initial_weights = {});
 

@@ -1,5 +1,6 @@
 #include "ld/serve/live_state.hpp"
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -41,7 +42,11 @@ double require_number(const json::Value& params, const std::string& key) {
 
 std::size_t require_count(const json::Value& params, const std::string& key) {
     const double d = require_number(params, key);
-    if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
+    // Casting a NaN, an infinity or a value ≥ 2⁶⁴ to size_t is undefined
+    // behaviour, so range-check before the round-trip cast.
+    static_assert(std::numeric_limits<std::size_t>::digits == 64);
+    if (!(d >= 0 && d < 0x1p64) ||
+        d != static_cast<double>(static_cast<std::size_t>(d))) {
         bad_param(key, "expected a non-negative integer");
     }
     return static_cast<std::size_t>(d);

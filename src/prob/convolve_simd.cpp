@@ -19,6 +19,7 @@
 
 #include "prob/convolve.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -570,6 +571,16 @@ BatchFusedFn batch_fused_kernel() { return active_table().batch_fused; }
 std::size_t batch_fused_depth() { return active_table().fused_depth; }
 
 ConvolveFn convolve_kernel() { return active_table().convolve; }
+
+void finish_exact(ConvolveScratch& dp, const LiveWindow& win) {
+    double* pmf = dp.front.data();
+    std::fill(pmf, pmf + win.lo, 0.0);
+    std::fill(pmf + win.hi, pmf + dp.front.size(), 0.0);
+    // Static-local cache: one registry lookup, then a relaxed store per DP.
+    static support::Gauge& window_gauge =
+        support::MetricsRegistry::global().gauge("prob.exact_window_width");
+    window_gauge.set(static_cast<std::int64_t>(win.peak));
+}
 
 }  // namespace detail
 

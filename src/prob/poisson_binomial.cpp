@@ -30,22 +30,21 @@ struct CompensatedSum {
 
 PoissonBinomial::PoissonBinomial(std::span<const double> probabilities) {
     const std::size_t n = probabilities.size();
-    std::vector<double> front(n + 1), back(n + 1);
-    front[0] = 1.0;
+    ConvolveScratch dp;
+    LiveWindow win = detail::start_exact(dp, n + 1);
     // Flush subnormals for the DP — see support/fpu.hpp.  Flushed mass
     // < (n+1)·2⁻¹⁰²² total, far below the compensated-sum noise floor.
+    // The flushed flanks are what keeps the live window narrow.
     const support::ScopedFlushDenormals ftz;
     const detail::ConvolveFn kern = detail::convolve_kernel();
-    std::size_t width = 1;
     for (double p : probabilities) {
         expects(p >= 0.0 && p <= 1.0, "PoissonBinomial: probability out of [0,1]");
-        kern(front.data(), back.data(), width, 1, p);
-        front.swap(back);
-        ++width;
+        detail::convolve_exact_step(kern, dp, win, 1, p);
         mean_ += p;
         variance_ += p * (1.0 - p);
     }
-    pmf_ = std::move(front);
+    detail::finish_exact(dp, win);
+    pmf_ = std::move(dp.front);
 
     // Compensated prefix/suffix sums make cdf() and tail_above() O(1).
     cdf_.resize(n + 1);

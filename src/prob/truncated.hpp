@@ -33,9 +33,10 @@ namespace ld::prob {
 
 /// ε-truncated law of Σ Bernoulli(p_i): the exact windowed sub-pmf over
 /// `[window_lo, window_hi]`, with everything outside certified to hold
-/// at most `certified_error()` total mass.  Cost O(n · window) instead
-/// of O(n²); the window is O(σ·√log(1/ε)) wide in the regimes the
-/// Chernoff bounds cover.  ε = 0 degenerates to the exact distribution.
+/// at most `certified_error()` total mass.  Cost O(n · window); the
+/// window is O(σ·√log(1/ε)) wide in the regimes the Chernoff bounds
+/// cover, narrower than the exact DP's live window.  ε = 0 degenerates
+/// to the exact distribution.
 class TruncatedPoissonBinomial {
 public:
     TruncatedPoissonBinomial(std::span<const double> probabilities, double epsilon);

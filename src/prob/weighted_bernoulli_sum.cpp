@@ -12,10 +12,11 @@ using support::expects;
 namespace {
 
 /// Shared DP core: fills `scratch.front` with the law of
-/// Σ w_i · Bernoulli(p_i) over [0, W] and returns the total weight W.
-std::uint64_t convolve_weighted_sum(std::span<const std::uint64_t> weights,
-                                    std::span<const double> probs,
-                                    ConvolveScratch& scratch) {
+/// Σ w_i · Bernoulli(p_i) over [0, W] and returns its live window (every
+/// entry outside it is exactly +0.0).
+LiveWindow convolve_weighted_sum(std::span<const std::uint64_t> weights,
+                                 std::span<const double> probs,
+                                 ConvolveScratch& scratch) {
     expects(weights.size() == probs.size(),
             "WeightedBernoulliSum: weights/probs length mismatch");
     std::uint64_t total = 0;
@@ -24,24 +25,20 @@ std::uint64_t convolve_weighted_sum(std::span<const std::uint64_t> weights,
                 "WeightedBernoulliSum: probability out of [0,1]");
         total += weights[i];
     }
-    scratch.front.resize(static_cast<std::size_t>(total) + 1);
-    scratch.back.resize(static_cast<std::size_t>(total) + 1);
-    scratch.front[0] = 1.0;
+    LiveWindow win = detail::start_exact(scratch, static_cast<std::size_t>(total) + 1);
     // Flush subnormals for the DP: the spreading pmf front underflows
     // fresh subnormals every step, and the per-op assists cost more than
     // the convolution itself (support/fpu.hpp).  Total flushed mass
     // < (W+1)·2⁻¹⁰²² — invisible at the majority threshold.
     const support::ScopedFlushDenormals ftz;
     const detail::ConvolveFn kern = detail::convolve_kernel();
-    std::size_t width = 1;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         const auto w = static_cast<std::size_t>(weights[i]);
         if (w == 0) continue;
-        kern(scratch.front.data(), scratch.back.data(), width, w, probs[i]);
-        scratch.front.swap(scratch.back);
-        width += w;
+        detail::convolve_exact_step(kern, scratch, win, w, probs[i]);
     }
-    return total;
+    detail::finish_exact(scratch, win);
+    return win;
 }
 
 }  // namespace
@@ -49,8 +46,9 @@ std::uint64_t convolve_weighted_sum(std::span<const std::uint64_t> weights,
 WeightedBernoulliSum::WeightedBernoulliSum(std::span<const std::uint64_t> weights,
                                            std::span<const double> probs) {
     ConvolveScratch scratch;
-    total_weight_ = convolve_weighted_sum(weights, probs, scratch);
+    convolve_weighted_sum(weights, probs, scratch);
     pmf_ = std::move(scratch.front);
+    total_weight_ = pmf_.size() - 1;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         const auto w = static_cast<double>(weights[i]);
         const double p = probs[i];
@@ -62,11 +60,13 @@ WeightedBernoulliSum::WeightedBernoulliSum(std::span<const std::uint64_t> weight
 double weighted_majority_probability(std::span<const std::uint64_t> weights,
                                      std::span<const double> probs,
                                      ConvolveScratch& scratch) {
-    const std::uint64_t total = convolve_weighted_sum(weights, probs, scratch);
-    const double threshold = static_cast<double>(total) / 2.0;
+    const LiveWindow win = convolve_weighted_sum(weights, probs, scratch);
     const auto& pmf = scratch.front;
+    const double threshold = static_cast<double>(pmf.size() - 1) / 2.0;
+    // Start at the window's top: the entries above it are +0.0, and
+    // acc + 0.0 = acc, so the sum is the same bits as one from W down.
     double acc = 0.0;
-    for (std::size_t s = static_cast<std::size_t>(total) + 1; s-- > 0;) {
+    for (std::size_t s = win.hi; s-- > 0;) {
         if (static_cast<double>(s) > threshold) acc += pmf[s];
         else break;  // pmf indices below the threshold contribute nothing
     }

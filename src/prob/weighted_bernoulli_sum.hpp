@@ -16,8 +16,10 @@
 namespace ld::prob {
 
 /// Distribution of S = Σ w_i · Bernoulli(p_i) over {0, …, Σ w_i}.
-/// DP cost O(n · Σ w_i); for delegation graphs Σ w_i = n (total votes), so
-/// the cost is O(#sinks · n).
+/// DP cost at most O(n · Σ w_i); for delegation graphs Σ w_i = n (total
+/// votes), so at most O(#sinks · n).  Each step touches only the pmf's live
+/// window (`detail::convolve_exact_step`), so with many sinks the cost is
+/// O(#sinks · σ) — bit-identical to the full-width DP.
 class WeightedBernoulliSum {
 public:
     /// `weights[i]` votes succeed together with probability `probs[i]`.

@@ -644,6 +644,34 @@ TEST(ServePatch, UnknownInstanceIsNotFound) {
               "not_found");
 }
 
+// A count past size_t's range must be refused before any float-to-integer
+// cast (which would be undefined behaviour — UBSan flags it).
+TEST(ServePatch, OutOfRangeCountsAreBadRequests) {
+    serve::InstanceCache cache;
+    serve::Router router({}, cache);
+
+    json::Object load;
+    load.emplace("graph", json::Value(std::string(kGraph)));
+    load.emplace("competencies", json::Value(std::string(kCompetencies)));
+    load.emplace("n", json::Value(1e300));
+    load.emplace("alpha", json::Value(kAlpha));
+    EXPECT_EQ(call(router, "instance.load", std::move(load))
+                  .at("error")
+                  .at("code")
+                  .as_string(),
+              "bad_request");
+
+    const std::string fingerprint = load_instance(router);
+    json::Object vote;
+    vote.emplace("op", json::Value(std::string("vote")));
+    vote.emplace("voter", json::Value(1e300));
+    json::Array ops;
+    ops.push_back(json::Value(std::move(vote)));
+    const json::Value response = patch_request(router, fingerprint, std::move(ops));
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+        << json::dump(response);
+}
+
 // ---------------------------------------------------- game on the engine
 
 TEST(GameIncremental, ShuffleSeedReplaysTrajectoryExactly) {

@@ -3,16 +3,61 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "prob/convolve.hpp"
 #include "prob/poisson_binomial.hpp"
+#include "rng/rng.hpp"
 #include "support/expect.hpp"
+#include "support/fpu.hpp"
+#include "support/metrics.hpp"
 
 namespace {
 
 using ld::prob::PoissonBinomial;
 using ld::support::ContractViolation;
+
+/// The full-width DP the live-window kernel replaced: every step
+/// convolves all t + 1 entries with the scalar reference kernel, under the
+/// same flush-to-zero mode as the production DP.
+std::vector<double> full_width_pmf(const std::vector<double>& probs) {
+    const std::size_t n = probs.size();
+    std::vector<double> front(n + 1), back(n + 1);
+    front[0] = 1.0;
+    const ld::support::ScopedFlushDenormals ftz;
+    for (std::size_t t = 0; t < n; ++t) {
+        ld::prob::detail::convolve_two_point_scalar(front.data(), back.data(), t + 1, 1,
+                                                    probs[t]);
+        front.swap(back);
+    }
+    return front;
+}
+
+/// P[X > n/2] from a pmf, with the Kahan top-down suffix sum
+/// `PoissonBinomial` precomputes.
+double kahan_majority(const std::vector<double>& pmf) {
+    const std::size_t n = pmf.size() - 1;
+    double sum = 0.0, carry = 0.0;
+    for (std::size_t k = n + 1; k-- > n / 2 + 1;) {
+        const double y = pmf[k] - carry;
+        const double t = sum + y;
+        carry = (t - sum) - y;
+        sum = t;
+    }
+    return std::min(sum, 1.0);
+}
+
+void expect_matches_full_width(const std::vector<double>& probs) {
+    const PoissonBinomial pb(probs);
+    const std::vector<double> reference = full_width_pmf(probs);
+    ASSERT_EQ(pb.pmf_span().size(), reference.size());
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+        ASSERT_EQ(pb.pmf(k), reference[k]) << "n=" << probs.size() << " k=" << k;
+    }
+    EXPECT_EQ(pb.majority_probability(), kahan_majority(reference));
+}
 
 double binomial_pmf(int n, int k, double p) {
     double log_choose = std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
@@ -135,6 +180,43 @@ TEST(PoissonBinomial, LargeInstanceIsStable) {
     for (std::size_t k = 0; k <= 2000; ++k) total += pb.pmf(k);
     EXPECT_NEAR(total, 1.0, 1e-9);
     EXPECT_GT(pb.majority_probability(), 0.9);  // 2σ ≈ 45 above the line
+}
+
+// The live window skips only entries that are exactly +0.0, so the pmf
+// and the majority probability are the full-width DP's bits.
+TEST(PoissonBinomial, LiveWindowIsBitIdenticalToFullWidth) {
+    ld::rng::Rng rng(13);
+    for (std::size_t n : {1, 64, 2000, 30000}) {
+        std::vector<double> probs(n);
+        for (double& p : probs) p = 0.3 + 0.4 * rng.next_double();
+        expect_matches_full_width(probs);
+    }
+}
+
+TEST(PoissonBinomial, LiveWindowHandlesCertainAndFairTrials) {
+    ld::rng::Rng rng(14);
+    std::vector<double> mixed(2000);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        mixed[i] = i % 7 == 0 ? 0.0 : i % 11 == 0 ? 1.0 : rng.next_double();
+    }
+    expect_matches_full_width(mixed);
+    expect_matches_full_width(std::vector<double>(64, 1.0));
+    expect_matches_full_width(std::vector<double>(64, 0.0));
+    expect_matches_full_width(std::vector<double>(2001, 0.5));
+}
+
+TEST(PoissonBinomial, FlanksUnderflowAtLargeN) {
+    ld::support::MetricsRegistry::global().reset();
+    const std::size_t n = 30000;
+    const PoissonBinomial pb(std::vector<double>(n, 0.5));
+    // 2⁻³⁰⁰⁰⁰ is far below the smallest normal double: both tails are
+    // exactly zero, which is what the live window leaves untouched.
+    EXPECT_EQ(pb.pmf(0), 0.0);
+    EXPECT_EQ(pb.pmf(n), 0.0);
+    const auto peak =
+        ld::support::MetricsRegistry::global().gauge("prob.exact_window_width").max();
+    EXPECT_GT(peak, 0);
+    EXPECT_LT(peak, static_cast<std::int64_t>(n / 3));
 }
 
 }  // namespace

@@ -3,17 +3,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "ld/cli/specs.hpp"
+#include "ld/election/evaluator.hpp"
+#include "ld/model/instance.hpp"
+#include "prob/convolve.hpp"
 #include "prob/poisson_binomial.hpp"
 #include "prob/weighted_bernoulli_sum.hpp"
+#include "rng/rng.hpp"
 #include "support/expect.hpp"
+#include "support/fpu.hpp"
 
 namespace {
 
 using ld::prob::PoissonBinomial;
 using ld::prob::WeightedBernoulliSum;
 using ld::support::ContractViolation;
+
+/// The full-width DP the live-window kernel replaced: every step
+/// convolves the whole pmf so far with the scalar reference kernel, under
+/// the same flush-to-zero mode as the production DP.
+std::vector<double> full_width_pmf(const std::vector<std::uint64_t>& weights,
+                                   const std::vector<double>& probs) {
+    std::size_t total = 0;
+    for (std::uint64_t w : weights) total += w;
+    std::vector<double> front(total + 1), back(total + 1);
+    front[0] = 1.0;
+    const ld::support::ScopedFlushDenormals ftz;
+    std::size_t width = 1;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        if (weights[i] == 0) continue;
+        ld::prob::detail::convolve_two_point_scalar(front.data(), back.data(), width,
+                                                    weights[i], probs[i]);
+        front.swap(back);
+        width += weights[i];
+    }
+    return front;
+}
+
+/// P[S > W/2] from a pmf: the plain top-down sum both exact tallies use.
+double top_down_majority(const std::vector<double>& pmf) {
+    const double threshold = static_cast<double>(pmf.size() - 1) / 2.0;
+    double acc = 0.0;
+    for (std::size_t s = pmf.size(); s-- > 0 && static_cast<double>(s) > threshold;) {
+        acc += pmf[s];
+    }
+    return std::min(acc, 1.0);
+}
+
+/// Weights with gaps: mostly 1, every 10th 0, every 100th 7, every
+/// 1000th 300.
+std::vector<std::uint64_t> gapped_weights(std::size_t n) {
+    std::vector<std::uint64_t> weights(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        weights[i] = i % 1000 == 0 ? 300 : i % 100 == 0 ? 7 : i % 10 == 0 ? 0 : 1;
+    }
+    return weights;
+}
+
+/// Both exact entry points against the full-width reference, bit for bit.
+/// `scratch` is reused across calls on purpose: a dirty buffer must not
+/// leak into the next DP.
+void expect_matches_full_width(const std::vector<std::uint64_t>& weights,
+                               const std::vector<double>& probs,
+                               ld::prob::ConvolveScratch& scratch) {
+    const std::vector<double> reference = full_width_pmf(weights, probs);
+    const WeightedBernoulliSum ws(weights, probs);
+    ASSERT_EQ(ws.total_weight() + 1, reference.size());
+    for (std::size_t s = 0; s < reference.size(); ++s) {
+        ASSERT_EQ(ws.pmf(s), reference[s]) << "n=" << weights.size() << " s=" << s;
+    }
+    const double majority = top_down_majority(reference);
+    EXPECT_EQ(ws.majority_probability(), majority);
+    EXPECT_EQ(ld::prob::weighted_majority_probability(weights, probs, scratch), majority);
+}
 
 TEST(WeightedSum, UnitWeightsMatchPoissonBinomial) {
     const std::vector<double> probs{0.2, 0.5, 0.8, 0.35, 0.6};
@@ -108,6 +173,61 @@ TEST(WeightedSum, EmptyProfile) {
     const WeightedBernoulliSum ws(std::vector<std::uint64_t>{}, std::vector<double>{});
     EXPECT_EQ(ws.total_weight(), 0u);
     EXPECT_NEAR(ws.majority_probability(), 0.0, 1e-15);
+}
+
+// The live window skips only entries that are exactly +0.0, so the pmf
+// and both majority probabilities are the full-width DP's bits.
+TEST(WeightedSum, LiveWindowIsBitIdenticalToFullWidth) {
+    ld::rng::Rng rng(21);
+    ld::prob::ConvolveScratch scratch;
+    for (std::size_t n : {1, 64, 2000, 30000}) {
+        std::vector<double> probs(n);
+        for (double& p : probs) p = 0.3 + 0.4 * rng.next_double();
+        expect_matches_full_width(gapped_weights(n), probs, scratch);
+    }
+}
+
+TEST(WeightedSum, LiveWindowHandlesCertainAndFairTrials) {
+    ld::rng::Rng rng(22);
+    ld::prob::ConvolveScratch scratch;
+    std::vector<double> mixed(2000);
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        mixed[i] = i % 7 == 0 ? 0.0 : i % 11 == 0 ? 1.0 : rng.next_double();
+    }
+    expect_matches_full_width(gapped_weights(2000), mixed, scratch);
+    expect_matches_full_width(gapped_weights(64), std::vector<double>(64, 1.0), scratch);
+    expect_matches_full_width(gapped_weights(64), std::vector<double>(64, 0.0), scratch);
+    expect_matches_full_width(gapped_weights(2001), std::vector<double>(2001, 0.5),
+                              scratch);
+}
+
+// Evaluator level: P^D on run_large's instance family, through both the
+// unit-weight (`PoissonBinomial`) and the weighted path.
+TEST(WeightedSum, ExactDirectProbabilityMatchesFullWidth) {
+    const std::size_t n = 30000;
+    ld::rng::Rng rng(1);
+    auto g = ld::cli::make_graph("cl:2.5,8", n, rng);
+    auto p = ld::cli::make_competencies("uniform:0.3,0.7", n, rng);
+    const ld::model::Instance instance(std::move(g), std::move(p), 0.05);
+    const std::vector<double> probs(instance.competencies().values().begin(),
+                                    instance.competencies().values().end());
+    const std::vector<std::uint64_t> unit(n, 1);
+    const std::vector<double> reference = full_width_pmf(unit, probs);
+    // The flanks underflow, so the live window is a strict sub-range.
+    EXPECT_EQ(reference.front(), 0.0);
+    EXPECT_EQ(reference.back(), 0.0);
+
+    double sum = 0.0, carry = 0.0;  // PoissonBinomial's Kahan suffix sum
+    for (std::size_t k = n + 1; k-- > n / 2 + 1;) {
+        const double y = reference[k] - carry;
+        const double t = sum + y;
+        carry = (t - sum) - y;
+        sum = t;
+    }
+    EXPECT_EQ(ld::election::exact_direct_probability_weighted(instance, {}),
+              std::min(sum, 1.0));
+    EXPECT_EQ(ld::election::exact_direct_probability_weighted(instance, unit),
+              top_down_majority(reference));
 }
 
 }  // namespace
