@@ -14,6 +14,7 @@
 
 #include "gen/factory.hpp"
 #include "graph/generators.hpp"
+#include "ld/cli/specs.hpp"
 #include "ld/delegation/incremental.hpp"
 #include "ld/delegation/realize.hpp"
 #include "ld/game/delegation_game.hpp"
@@ -252,6 +253,27 @@ void BM_TallyTruncatedBudget(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_TallyTruncatedBudget)->Arg(500)->Arg(2000);
+
+// The truncated tally where its visit order matters: the sink profile of
+// one realized `cl:2.5,8` + `threshold:1` instance (the run_large
+// workload's specs), whose few heavy sinks would widen every later DP
+// step if tallied in vertex order.
+void BM_TallyTruncatedHeavyTail(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(13);
+    auto graph = cli::make_graph("cl:2.5,8", n, rng);
+    auto comps = cli::make_competencies("uniform:0.3,0.7", graph.vertex_count(), rng);
+    const model::Instance inst(std::move(graph), std::move(comps), 0.05);
+    const mech::ApprovalSizeThreshold m(1);
+    const auto out = delegation::realize(m, inst, rng);
+    election::TallyScratch scratch;
+    const double eps = 1e-12;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(election::truncated_correct_probability(
+            out, inst.competencies(), eps, scratch));
+    }
+}
+BENCHMARK(BM_TallyTruncatedHeavyTail)->Arg(20000);
 
 // Tentpole: the incremental churn engine vs from-scratch re-evaluation.
 // One churn step is "voter v toggles between delegating to v+1 and voting

@@ -151,7 +151,10 @@ double truncated_correct_probability(const DelegationOutcome& outcome,
     // tally thereafter (the replication loop calls this millions of times).
     static support::Gauge& window_gauge =
         support::MetricsRegistry::global().gauge("tally.window_width");
+    static support::Counter& window_work =
+        support::MetricsRegistry::global().counter("tally.window_work");
     window_gauge.set(static_cast<std::int64_t>(tally.max_window));
+    window_work.add(tally.window_work);
     return tally.tail;
 }
 

@@ -78,9 +78,11 @@ double exact_correct_probability(const delegation::DelegationOutcome& outcome,
 /// ε-truncated variant of `exact_correct_probability`: the windowed DP of
 /// `prob::truncated_weighted_majority`, whose result is within a
 /// *certified* ε/2 of the exact tally.  Cost drops from O(#sinks·W) to
-/// ~O(#sinks·σ_W) because the live window hugs the threshold.  Records
-/// the peak window width in the `tally.window_width` gauge.  ε = 0 keeps
-/// the windowed fast path with zero error.
+/// Σ (live window width): the window hugs the threshold, and sinks are
+/// tallied lightest first, so it grows with the partial sum's σ rather
+/// than σ_W.  Records the peak window width in the `tally.window_width`
+/// gauge and the summed width in the `tally.window_work` counter.  ε = 0
+/// keeps the windowed fast path with zero error.
 double truncated_correct_probability(const delegation::DelegationOutcome& outcome,
                                      const model::CompetencyVector& p,
                                      double epsilon, TallyScratch& scratch);

@@ -44,6 +44,10 @@ namespace ld::prob {
 struct ConvolveScratch {
     std::vector<double> front;  ///< current pmf (input of the next step)
     std::vector<double> back;   ///< output of the next step
+    /// Term visit order and counting-sort buckets of the truncated tally
+    /// (`truncated_weighted_majority`).
+    std::vector<std::uint32_t> order;
+    std::vector<std::size_t> bucket;
 };
 
 /// Live window [lo, hi) of an exact DP's pmf in `ConvolveScratch::front`:

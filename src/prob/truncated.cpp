@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "support/expect.hpp"
 #include "support/fpu.hpp"
@@ -82,16 +84,35 @@ TruncatedTally truncated_weighted_majority(std::span<const std::uint64_t> weight
                                            double epsilon, ConvolveScratch& scratch) {
     expects(weights.size() == probs.size(),
             "truncated_weighted_majority: weights/probs length mismatch");
+    expects(weights.size() <= UINT32_MAX,
+            "truncated_weighted_majority: more than 2^32 terms");
     check_epsilon(epsilon);
+
+    // Visit the non-zero terms in ascending weight, ties in input order: a
+    // stable counting sort in O(terms + max w), max w ≤ W.  Heavy terms
+    // then arrive last, so the partial sum's variance — and with it the
+    // live window — stays small for most of the DP.
+    auto& bucket = scratch.bucket;  // per weight: its count, then its next slot
+    auto& order = scratch.order;
+    bucket.assign(1, 0);
     std::uint64_t total = 0;
-    std::size_t terms = 0;  // non-zero-weight entries, for the ε schedule
     for (std::size_t i = 0; i < weights.size(); ++i) {
         expects(probs[i] >= 0.0 && probs[i] <= 1.0,
                 "truncated_weighted_majority: probability out of [0,1]");
-        total += weights[i];
-        if (weights[i] != 0) ++terms;
+        const std::uint64_t w = weights[i];
+        total += w;
+        if (w >= bucket.size()) bucket.resize(static_cast<std::size_t>(w) + 1, 0);
+        ++bucket[w];
     }
+    const std::size_t terms = weights.size() - bucket[0];  // for the ε schedule
     const double threshold = static_cast<double>(total) / 2.0;
+    for (std::size_t w = 1, start = 0; w < bucket.size(); ++w) {
+        start += std::exchange(bucket[w], start);
+    }
+    order.resize(terms);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        if (weights[i] != 0) order[bucket[weights[i]]++] = static_cast<std::uint32_t>(i);
+    }
 
     auto& front = scratch.front;
     auto& back = scratch.back;
@@ -115,9 +136,9 @@ TruncatedTally truncated_weighted_majority(std::span<const std::uint64_t> weight
     result.max_window = 1;
 
     std::size_t done = 0;
-    for (std::size_t i = 0; i < weights.size() && width > 0; ++i) {
+    while (done < terms && width > 0) {
+        const std::size_t i = order[done];
         const std::size_t w = static_cast<std::size_t>(weights[i]);
-        if (w == 0) continue;
         const double p = probs[i];
         kern(front.data() + base, back.data(), width, w, p);
         front.swap(back);
@@ -126,6 +147,7 @@ TruncatedTally truncated_weighted_majority(std::span<const std::uint64_t> weight
         remaining -= w;
         ++done;
         result.max_window = std::max(result.max_window, width);
+        result.window_work += width;
         // Exact retirement, zero error: weights are non-negative, so a
         // window entry above the threshold can only stay above it, and
         // one that cannot reach it even if every remaining vote succeeds

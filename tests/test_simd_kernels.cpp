@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -188,39 +189,54 @@ TEST(SimdKernelAgreement, RandomizedTalliesAcrossTiers) {
 
 /// The ε-truncated tally keeps its certified bound and its exact values
 /// under every tier: same tail, same error_bound ≤ ε/2, same window.
+/// Profiles: light weights in [1, 3], and a heavy-tailed one (weights in
+/// [1, 700], Pareto-like) where the ascending-weight visit order
+/// reorders the most.
 TEST(SimdKernelAgreement, TruncatedTallyCertifiedOnEveryTier) {
     ld::rng::Rng rng(44221u);
-    const std::size_t terms = 300;
-    std::vector<std::uint64_t> weights(terms);
-    std::vector<double> probs(terms);
-    for (std::size_t i = 0; i < terms; ++i) {
-        weights[i] = 1 + rng.next_below(3);
-        probs[i] = 0.3 + 0.4 * rng.next_double();
-    }
-    const double epsilon = 1e-8;
-    ConvolveScratch scratch;
-    ld::prob::TruncatedTally reference;
-    {
-        TierGuard guard(SimdTier::kScalar);
-        ASSERT_TRUE(guard.pinned());
-        reference = ld::prob::truncated_weighted_majority(weights, probs,
-                                                          epsilon, scratch);
-    }
-    EXPECT_LE(reference.error_bound, epsilon / 2.0);
-    // Exact (untruncated) value for the certification check.
-    const double exact =
-        ld::prob::weighted_majority_probability(weights, probs, scratch);
-    EXPECT_NEAR(reference.tail, exact, reference.error_bound + 1e-15);
-    for (SimdTier tier : kWideTiers) {
-        if (!ld::support::simd_tier_supported(tier)) continue;
-        TierGuard guard(tier);
-        ASSERT_TRUE(guard.pinned());
-        const auto got = ld::prob::truncated_weighted_majority(weights, probs,
-                                                               epsilon, scratch);
-        EXPECT_EQ(reference.tail, got.tail);
-        EXPECT_EQ(reference.error_bound, got.error_bound);
-        EXPECT_EQ(reference.max_window, got.max_window);
-        EXPECT_LE(got.error_bound, epsilon / 2.0);
+    for (const bool heavy : {false, true}) {
+        const std::size_t terms = heavy ? 1500 : 300;
+        std::vector<std::uint64_t> weights(terms);
+        std::vector<double> probs(terms);
+        for (std::size_t i = 0; i < terms; ++i) {
+            if (heavy) {
+                // P[w ≥ k] ~ k^(−1.5), capped at 700.
+                const double u = 1.0 - rng.next_double();
+                weights[i] = std::min<std::uint64_t>(
+                    700, static_cast<std::uint64_t>(std::pow(u, -1.0 / 1.5)));
+            } else {
+                weights[i] = 1 + rng.next_below(3);
+            }
+            probs[i] = 0.3 + 0.4 * rng.next_double();
+        }
+        if (heavy) weights[terms / 3] = 700;  // the cap is always reached
+        const double epsilon = 1e-8;
+        ConvolveScratch scratch;
+        ld::prob::TruncatedTally reference;
+        {
+            TierGuard guard(SimdTier::kScalar);
+            ASSERT_TRUE(guard.pinned());
+            reference = ld::prob::truncated_weighted_majority(weights, probs,
+                                                              epsilon, scratch);
+        }
+        EXPECT_LE(reference.error_bound, epsilon / 2.0);
+        // Exact (untruncated) value for the certification check.
+        const double exact =
+            ld::prob::weighted_majority_probability(weights, probs, scratch);
+        EXPECT_NEAR(reference.tail, exact, reference.error_bound + 1e-15)
+            << "heavy=" << heavy;
+        for (SimdTier tier : kWideTiers) {
+            if (!ld::support::simd_tier_supported(tier)) continue;
+            TierGuard guard(tier);
+            ASSERT_TRUE(guard.pinned());
+            const auto got = ld::prob::truncated_weighted_majority(weights, probs,
+                                                                   epsilon, scratch);
+            EXPECT_EQ(reference.tail, got.tail) << "heavy=" << heavy;
+            EXPECT_EQ(reference.error_bound, got.error_bound) << "heavy=" << heavy;
+            EXPECT_EQ(reference.max_window, got.max_window) << "heavy=" << heavy;
+            EXPECT_EQ(reference.window_work, got.window_work) << "heavy=" << heavy;
+            EXPECT_LE(got.error_bound, epsilon / 2.0);
+        }
     }
 }
 

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ld/delegation/realize.hpp"
@@ -21,6 +27,7 @@
 #include "prob/weighted_bernoulli_sum.hpp"
 #include "rng/rng.hpp"
 #include "support/expect.hpp"
+#include "support/fpu.hpp"
 #include "support/thread_pool.hpp"
 #include "ld/experiments/workloads.hpp"
 
@@ -29,6 +36,7 @@ namespace {
 using ld::prob::ConvolveScratch;
 using ld::prob::PoissonBinomial;
 using ld::prob::TruncatedPoissonBinomial;
+using ld::prob::TruncatedTally;
 using ld::prob::WeightedBernoulliSum;
 using ld::prob::truncated_weighted_majority;
 using ld::support::ContractViolation;
@@ -168,6 +176,233 @@ TEST(TruncatedWeightedMajority, WindowShrinksOnLargeUnitProfiles) {
     const WeightedBernoulliSum exact(weights, probs);
     EXPECT_NEAR(tally.tail, exact.majority_probability(),
                 tally.error_bound + kFpSlack);
+}
+
+// ---- Visit order: ascending weight, ties in input order -------------------
+
+/// The truncated tally loop in plain input order, zero weights skipped —
+/// the loop `truncated_weighted_majority` runs after sorting its terms.
+/// Fed a stably weight-sorted profile, the kernel must match it bit for
+/// bit: the order is the only difference.
+TruncatedTally input_order_tally(std::span<const std::uint64_t> weights,
+                                 std::span<const double> probs, double eps) {
+    std::uint64_t total = 0;
+    std::size_t terms = 0;
+    for (const std::uint64_t w : weights) {
+        total += w;
+        if (w != 0) ++terms;
+    }
+    const double threshold = static_cast<double>(total) / 2.0;
+    std::vector<double> front(total + 1), back(total + 1);
+    front[0] = 1.0;
+    const ld::support::ScopedFlushDenormals ftz;
+    const auto kern = ld::prob::detail::convolve_kernel();
+    std::size_t base = 0, width = 1, done = 0;
+    std::uint64_t lo = 0, remaining = total;
+    double retired_tail = 0.0, dropped = 0.0;
+    TruncatedTally out;
+    out.total_weight = total;
+    out.max_window = 1;
+    for (std::size_t i = 0; i < weights.size() && width > 0; ++i) {
+        const std::size_t w = weights[i];
+        if (w == 0) continue;
+        kern(front.data() + base, back.data(), width, w, probs[i]);
+        front.swap(back);
+        base = 0;
+        width += w;
+        remaining -= w;
+        ++done;
+        out.max_window = std::max(out.max_window, width);
+        out.window_work += width;
+        while (width > 0 && static_cast<double>(lo + width - 1) > threshold) {
+            retired_tail += front[base + --width];
+        }
+        while (width > 0 && static_cast<double>(lo + remaining) <= threshold) {
+            ++base;
+            ++lo;
+            --width;
+        }
+        const double allowed =
+            eps * static_cast<double>(done) / static_cast<double>(terms);
+        while (width > 1 && dropped + front[base] <= allowed) {
+            dropped += front[base++];
+            ++lo;
+            --width;
+        }
+        while (width > 1 && dropped + front[base + width - 1] <= allowed) {
+            dropped += front[base + --width];
+        }
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+        if (static_cast<double>(lo + j) > threshold) retired_tail += front[base + j];
+    }
+    out.tail = std::min(retired_tail + 0.5 * dropped, 1.0);
+    out.error_bound = 0.5 * dropped;
+    return out;
+}
+
+void expect_same_bits(const TruncatedTally& a, const TruncatedTally& b,
+                      const std::string& where) {
+    EXPECT_EQ(a.tail, b.tail) << where;
+    EXPECT_EQ(a.error_bound, b.error_bound) << where;
+    EXPECT_EQ(a.max_window, b.max_window) << where;
+    EXPECT_EQ(a.window_work, b.window_work) << where;
+    EXPECT_EQ(a.total_weight, b.total_weight) << where;
+}
+
+struct Profile {
+    std::vector<std::uint64_t> weights;
+    std::vector<double> probs;
+};
+
+/// Heavy-tailed random profile: P[w ≥ k] ~ k^(−1.5), capped at `cap`, with
+/// a share of zero weights (abstentions).
+Profile heavy_tailed_profile(ld::rng::Rng& rng, std::size_t m, std::uint64_t cap) {
+    Profile out;
+    for (std::size_t i = 0; i < m; ++i) {
+        const double u = 1.0 - rng.next_double();
+        const auto w = std::min<std::uint64_t>(
+            cap, static_cast<std::uint64_t>(std::pow(u, -1.0 / 1.5)));
+        out.weights.push_back(rng.next_below(10) == 0 ? 0 : w);
+        out.probs.push_back(rng.next_double());
+    }
+    return out;
+}
+
+Profile permuted(const Profile& in, const std::vector<std::size_t>& perm) {
+    Profile out;
+    for (const std::size_t i : perm) {
+        out.weights.push_back(in.weights[i]);
+        out.probs.push_back(in.probs[i]);
+    }
+    return out;
+}
+
+std::vector<std::size_t> random_permutation(ld::rng::Rng& rng, std::size_t m) {
+    std::vector<std::size_t> perm(m);
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    for (std::size_t i = m; i > 1; --i) {
+        std::swap(perm[i - 1], perm[rng.next_below(i)]);
+    }
+    return perm;
+}
+
+/// Indices sorted by ascending weight, ties in input order.
+std::vector<std::size_t> stable_weight_order(const Profile& in) {
+    std::vector<std::size_t> perm(in.weights.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::stable_sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
+        return in.weights[a] < in.weights[b];
+    });
+    return perm;
+}
+
+TEST(TruncatedTallyOrder, EqualsInputOrderLoopOnTheStablyWeightSortedProfile) {
+    ld::rng::Rng rng(1401);
+    ConvolveScratch scratch;
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::size_t m = 1 + static_cast<std::size_t>(rng.next_below(300));
+        const auto profile = heavy_tailed_profile(rng, m, 1 + rng.next_below(200));
+        const double eps = trial % 3 == 0 ? 0.0 : (trial % 3 == 1 ? 1e-12 : 1e-6);
+        const auto got =
+            truncated_weighted_majority(profile.weights, profile.probs, eps, scratch);
+        const auto sorted = permuted(profile, stable_weight_order(profile));
+        const auto want = input_order_tally(sorted.weights, sorted.probs, eps);
+        expect_same_bits(got, want, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(TruncatedTallyOrder, ReorderingAcrossWeightsKeepsEveryBit) {
+    // Shuffle the profile, then put each weight class's entries back into
+    // the positions that class now occupies, in their original order: the
+    // order across weights changes, the order within a weight does not.
+    ld::rng::Rng rng(1402);
+    ConvolveScratch scratch;
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t m = 2 + static_cast<std::size_t>(rng.next_below(300));
+        const auto profile = heavy_tailed_profile(rng, m, 50);
+        auto perm = random_permutation(rng, m);
+        std::map<std::uint64_t, std::vector<std::size_t>> by_weight;
+        for (std::size_t i = 0; i < m; ++i) by_weight[profile.weights[i]].push_back(i);
+        std::map<std::uint64_t, std::size_t> next;
+        for (auto& slot : perm) {
+            const std::uint64_t w = profile.weights[slot];
+            slot = by_weight[w][next[w]++];
+        }
+        const auto reordered = permuted(profile, perm);
+        const double eps = trial % 2 == 0 ? 1e-12 : 1e-9;
+        expect_same_bits(
+            truncated_weighted_majority(profile.weights, profile.probs, eps, scratch),
+            truncated_weighted_majority(reordered.weights, reordered.probs, eps,
+                                        scratch),
+            "trial " + std::to_string(trial));
+    }
+}
+
+TEST(TruncatedTallyOrder, CertifiedUnderRandomPermutations) {
+    ld::rng::Rng rng(1403);
+    ConvolveScratch scratch;
+    std::vector<std::pair<std::string, Profile>> cases;
+    cases.emplace_back("heavy tail with zeros", heavy_tailed_profile(rng, 400, 300));
+    {
+        // One dominant sink a few votes short of a majority on its own.
+        Profile p = heavy_tailed_profile(rng, 200, 5);
+        std::uint64_t rest = 0;
+        for (const auto w : p.weights) rest += w;
+        p.weights.push_back(rest > 6 ? rest - 6 : 1);
+        p.probs.push_back(0.8);
+        cases.emplace_back("dominant sink", std::move(p));
+    }
+    {
+        Profile p;
+        for (int i = 0; i < 250; ++i) {
+            p.weights.push_back(i % 7 == 0 ? 0 : 4);
+            p.probs.push_back(0.3 + 0.4 * rng.next_double());
+        }
+        cases.emplace_back("all-equal weights", std::move(p));
+    }
+    for (const auto& [name, profile] : cases) {
+        const WeightedBernoulliSum exact_sum(profile.weights, profile.probs);
+        const double exact = exact_sum.majority_probability();
+        for (int trial = 0; trial < 12; ++trial) {
+            const auto shuffled =
+                permuted(profile, random_permutation(rng, profile.weights.size()));
+            for (const double eps : {0.0, 1e-12, 1e-8}) {
+                const auto tally = truncated_weighted_majority(
+                    shuffled.weights, shuffled.probs, eps, scratch);
+                EXPECT_LE(tally.error_bound, eps / 2.0) << name;
+                EXPECT_LE(std::abs(tally.tail - exact), tally.error_bound + kFpSlack)
+                    << name << " trial " << trial << " eps " << eps;
+                if (name == "all-equal weights") {
+                    // Every non-zero weight ties: the visit order is the
+                    // input order, so the bits are the input-order loop's.
+                    expect_same_bits(
+                        tally, input_order_tally(shuffled.weights, shuffled.probs, eps),
+                        name);
+                }
+            }
+        }
+    }
+}
+
+TEST(TruncatedTallyOrder, LightestFirstShrinksTheWindow) {
+    // A heavy sink listed first widens every later step in input order;
+    // lightest-first tallies it last.
+    Profile profile;
+    profile.weights.push_back(600);
+    profile.probs.push_back(0.5);
+    ld::rng::Rng rng(1404);
+    for (int i = 0; i < 3000; ++i) {
+        profile.weights.push_back(1 + rng.next_below(3));
+        profile.probs.push_back(0.3 + 0.4 * rng.next_double());
+    }
+    ConvolveScratch scratch;
+    const auto sorted =
+        truncated_weighted_majority(profile.weights, profile.probs, 1e-12, scratch);
+    const auto unsorted = input_order_tally(profile.weights, profile.probs, 1e-12);
+    EXPECT_LT(sorted.window_work * 2, unsorted.window_work);
+    EXPECT_NEAR(sorted.tail, unsorted.tail,
+                sorted.error_bound + unsorted.error_bound + kFpSlack);
 }
 
 TEST(TruncatedTallyRoute, MatchesExactTallyOnElectionOutcomes) {
