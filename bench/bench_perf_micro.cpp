@@ -75,14 +75,14 @@ BENCHMARK(BM_GenerateBarabasi)->Arg(1000)->Arg(10000);
 // Streaming facade throughput (docs/GENERATORS.md): full pipeline —
 // config -> streaming cells -> chunked CSR -> Graph.  Items/s counts
 // realized (deduplicated) edges, so families are comparable despite
-// with-replacement draws.
-template <gen::Family F>
+// with-replacement draws.  `Threads` 0 runs on the whole shared pool.
+template <gen::Family F, std::size_t Threads = 1>
 void BM_GenerateStreaming(benchmark::State& state) {
     gen::GeneratorConfig config;
     config.family = F;
     config.n = static_cast<std::size_t>(state.range(0));
     config.seed = 17;
-    config.threads = 1;
+    config.threads = Threads;
     if constexpr (F == gen::Family::Gnp) config.p = 16.0 / static_cast<double>(config.n);
     if constexpr (F == gen::Family::BarabasiAlbert) config.degree = 8;
     if constexpr (F == gen::Family::Rmat) config.edges = config.n * 8;
@@ -105,6 +105,11 @@ BENCHMARK(BM_GenerateStreaming<gen::Family::Hyperbolic>)
     ->Name("BM_GenerateStreamingHyperbolic")->Arg(10000)->Arg(100000);
 BENCHMARK(BM_GenerateStreaming<gen::Family::Rmat>)
     ->Name("BM_GenerateStreamingRmat")->Arg(10000)->Arg(100000);
+// The pooled row shows how cells and sort ranges are dealt to workers:
+// Chung–Lu rows are heaviest first.  UseRealTime: the work runs on the
+// pool, not on the timing thread.
+BENCHMARK(BM_GenerateStreaming<gen::Family::ChungLu, 0>)
+    ->Name("BM_GenerateStreamingChungLuPool")->Arg(100000)->UseRealTime();
 
 void BM_RealizeDelegation(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

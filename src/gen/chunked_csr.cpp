@@ -110,18 +110,19 @@ graph::Graph build_chunked_csr(StreamingGenerator& generator, BuildStats* stats)
 
     // Sort + dedup each adjacency range in parallel, recording the unique
     // count per vertex, then compact sequentially (write offsets depend on
-    // every predecessor).
+    // every predecessor).  Vertices are dealt round-robin in 64-vertex
+    // blocks: the heavy rows of skewed families spread over every worker,
+    // and neighbouring `unique` writes stay on one worker.
     std::vector<std::uint32_t> unique(n, 0);
     {
         const std::size_t threads = config.threads == 0
                                         ? support::ThreadPool::global().worker_count()
-                                        : std::max<std::size_t>(config.threads, 1);
-        const std::size_t block = std::max<std::size_t>(1, (n + threads - 1) / threads);
+                                        : config.threads;
+        constexpr std::size_t kBlock = 64;
         support::TaskGroup group(support::ThreadPool::global());
-        for (std::size_t begin = 0; begin < n; begin += block) {
-            const std::size_t end = std::min(n, begin + block);
-            group.submit([&, begin, end] {
-                for (std::size_t v = begin; v < end; ++v) {
+        for (std::size_t w = 0; w < threads && w * kBlock < n; ++w) {
+            group.submit([&, w, threads] {
+                for_each_dealt(n, threads, w, kBlock, [&](std::size_t v) {
                     const auto first =
                         neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
                     const auto last =
@@ -129,7 +130,7 @@ graph::Graph build_chunked_csr(StreamingGenerator& generator, BuildStats* stats)
                     std::sort(first, last);
                     unique[v] = static_cast<std::uint32_t>(
                         std::distance(first, std::unique(first, last)));
-                }
+                });
             });
         }
         group.wait();

@@ -50,20 +50,18 @@ PassTotals StreamingGenerator::generate(EdgeSink& sink) {
         return totals;
     }
 
-    // Contiguous slices of the owned-cell progression, one buffer per
-    // worker.  Slicing only affects emission order, which no sink's
-    // final CSR depends on.
+    // Deal the owned cells round-robin, one buffer per worker: rows of
+    // skewed families are heaviest first, and the edge-draw and geometry
+    // families have only a handful of large cells.  Dealing only affects
+    // emission order, which no sink's final CSR depends on.
     std::vector<PassTotals> worker_totals(threads);
     support::TaskGroup group(support::ThreadPool::global());
     for (std::size_t w = 0; w < threads; ++w) {
-        const std::size_t begin = owned * w / threads;
-        const std::size_t end = owned * (w + 1) / threads;
-        if (begin == end) continue;
-        group.submit([this, &sink, &worker_totals, w, begin, end, shard] {
+        group.submit([this, &sink, &worker_totals, w, threads, owned, shard] {
             ChunkBuffer buffer(sink, config_.chunk_edges);
-            for (std::size_t i = begin; i < end; ++i) {
+            for_each_dealt(owned, threads, w, 1, [&](std::size_t i) {
                 emit_cell(shard.index + i * shard.count, buffer);
-            }
+            });
             buffer.flush();
             worker_totals[w].edges = buffer.edges_emitted();
             worker_totals[w].chunks = buffer.chunks_flushed();

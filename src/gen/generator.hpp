@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -54,6 +55,17 @@ private:
     std::uint64_t edges_ = 0;
     std::uint64_t chunks_ = 0;
 };
+
+/// Block-cyclic dealing of [0, count): worker `w` of `workers` visits
+/// blocks w, w + workers, ... of `block` indices, in ascending order.
+template <class Visit>
+void for_each_dealt(std::size_t count, std::size_t workers, std::size_t w,
+                    std::size_t block, Visit&& visit) {
+    for (std::size_t b = w * block; b < count; b += workers * block) {
+        const std::size_t end = std::min(count, b + block);
+        for (std::size_t i = b; i < end; ++i) visit(i);
+    }
+}
 
 /// Edge/chunk totals for one streaming pass over a shard's cells.
 struct PassTotals {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <thread>
 
 #include "ld/delegation/realize.hpp"
@@ -562,12 +563,17 @@ CertifiedRun run_certified_replications(const mech::Mechanism& mechanism,
 /// Run `options.replications` replications, fanning out to
 /// `options.threads` workers with independent jumped RNG streams on the
 /// engine's persistent pool (or, legacy path, on freshly spawned threads).
+/// `beside` runs once on the calling thread: while the pool chunks run on
+/// the fixed-N pool path, before the replications on every other route.
+/// It must draw no randomness, so the streams are the same either way.
 ReplicationStats run_all_replications(const mech::Mechanism& mechanism,
                                       const model::Instance& instance, rng::Rng& rng,
-                                      const EvalOptions& options) {
+                                      const EvalOptions& options,
+                                      const std::function<void()>& beside = [] {}) {
     validate_options(mechanism, instance, options);
     EstimateTimer timer(options.replications);
     if (options.target_std_error > 0.0) {
+        beside();
         std::size_t done = 0;
         auto merged =
             run_adaptive_replications(mechanism, instance, rng, options, done);
@@ -578,6 +584,7 @@ ReplicationStats run_all_replications(const mech::Mechanism& mechanism,
     const std::size_t threads =
         std::min(options.threads, options.replications);
     if (threads == 1) {
+        beside();
         return run_replications(mechanism, instance, rng, options,
                                 options.replications, engine.local_workspace());
     }
@@ -600,8 +607,10 @@ ReplicationStats run_all_replications(const mech::Mechanism& mechanism,
             const std::size_t count = base + (t < extra ? 1 : 0);
             group.submit([&chunk, t, count] { chunk(t, count); });
         }
+        beside();
         group.wait();
     } else {
+        beside();
         std::vector<std::thread> workers;
         workers.reserve(threads);
         for (std::size_t t = 0; t < threads; ++t) {
@@ -654,11 +663,15 @@ GainReport estimate_gain(const mech::Mechanism& mechanism,
                          const model::Instance& instance, rng::Rng& rng,
                          const EvalOptions& options) {
     GainReport report;
-    report.pd = options.approximate_tally
-                    ? approx_direct_probability(instance, options.initial_weights)
-                    : exact_direct_probability_weighted(instance, options.initial_weights);
+    const auto compute_pd = [&] {
+        report.pd = options.approximate_tally
+                        ? approx_direct_probability(instance, options.initial_weights)
+                        : exact_direct_probability_weighted(instance,
+                                                            options.initial_weights);
+    };
     ReplicationStats acc;
     if (options.certify.enabled()) {
+        compute_pd();  // the stop threshold needs P^D up front
         validate_options(mechanism, instance, options);
         EstimateTimer timer(0);
         // Decide "gain ≥ γ" on the P^M scale: P^D is exact, so the claim
@@ -673,7 +686,7 @@ GainReport estimate_gain(const mech::Mechanism& mechanism,
         report.certified_gain = stats::Interval{run.certificate.lo - report.pd,
                                                 run.certificate.hi - report.pd};
     } else {
-        acc = run_all_replications(mechanism, instance, rng, options);
+        acc = run_all_replications(mechanism, instance, rng, options, compute_pd);
         report.pm = finish(acc.pm, options.confidence);
     }
     report.gain = report.pm.value - report.pd;

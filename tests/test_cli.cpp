@@ -221,7 +221,12 @@ TEST(Runner, MetricsOutWritesParseableJson) {
     // The run must have been counted: at least this call's replications
     // (the process-wide registry may hold more from earlier calls).
     EXPECT_GE(doc.at("counters").at("engine.replications").as_number(), 30.0);
-    EXPECT_GE(doc.at("counters").at("engine.workspace_created").as_number(), 1.0);
+    // One workspace lookup per chunk at threads = 2.  Whether a lookup
+    // counts as created or reused depends on what earlier tests in the
+    // process left in the shared engine, so only the sum is fixed.
+    EXPECT_GE(doc.at("counters").at("engine.workspace_created").as_number() +
+                  doc.at("counters").at("engine.workspace_reused").as_number(),
+              2.0);
     const json::Value& latency = doc.at("histograms").at("estimate.latency");
     EXPECT_GE(latency.at("count").as_number(), 1.0);
     EXPECT_GT(latency.at("total_seconds").as_number(), 0.0);

@@ -110,14 +110,62 @@ TEST(GenDeterminism, ChunkSizeNeverChangesTheGraph) {
 }
 
 TEST(GenDeterminism, ThreadCountNeverChangesTheGraph) {
-    for (auto config : representative_configs()) {
+    auto configs = representative_configs();
+    // Row-skewed families large enough that every worker is dealt many
+    // cells and many sort blocks.
+    configs.push_back(base_config(gen::Family::Complete, 400));
+    {
+        auto c = base_config(gen::Family::ChungLu, 6000);
+        c.gamma = 2.5;
+        c.avg_degree = 8.0;
+        configs.push_back(c);
+    }
+    {
+        auto c = base_config(gen::Family::Hyperbolic, 9000);
+        c.gamma = 2.7;
+        c.avg_degree = 8.0;
+        configs.push_back(c);
+    }
+    for (auto config : configs) {
         config.threads = 1;
-        const Graph reference = gen::generate_graph(config);
-        for (const std::size_t threads :
-             {std::size_t{2}, std::size_t{5}, std::size_t{0}}) {
+        gen::BuildStats reference_stats;
+        const Graph reference = gen::generate_graph(config, &reference_stats);
+        for (const std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{5},
+                                          std::size_t{7}, std::size_t{0}}) {
             config.threads = threads;
-            EXPECT_EQ(gen::generate_graph(config), reference)
+            gen::BuildStats stats;
+            EXPECT_EQ(gen::generate_graph(config, &stats), reference)
+                << gen::family_name(config.family) << " n=" << config.n
+                << " threads=" << threads;
+            EXPECT_EQ(stats.edges_emitted, reference_stats.edges_emitted)
                 << gen::family_name(config.family) << " threads=" << threads;
+            EXPECT_EQ(stats.unique_edges, reference_stats.unique_edges)
+                << gen::family_name(config.family) << " threads=" << threads;
+        }
+    }
+}
+
+TEST(GenDeterminism, DealingVisitsEveryIndexOnceInAscendingOrder) {
+    for (const std::size_t count : {0, 1, 63, 64, 65, 1000}) {
+        for (const std::size_t workers : {1, 3, 4, 7}) {
+            for (const std::size_t block : {1, 64}) {
+                std::vector<int> visits(count, 0);
+                for (std::size_t w = 0; w < workers; ++w) {
+                    std::size_t last = 0;
+                    bool first = true;
+                    gen::for_each_dealt(count, workers, w, block, [&](std::size_t i) {
+                        EXPECT_TRUE(first || i > last);
+                        EXPECT_EQ(i / block % workers, w);
+                        first = false;
+                        last = i;
+                        ++visits[i];
+                    });
+                }
+                for (std::size_t i = 0; i < count; ++i) {
+                    EXPECT_EQ(visits[i], 1) << "count=" << count << " workers=" << workers
+                                            << " block=" << block << " i=" << i;
+                }
+            }
         }
     }
 }

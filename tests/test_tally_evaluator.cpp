@@ -1,13 +1,17 @@
 // Tests for exact tallying and the Monte-Carlo evaluator: agreement between
-// the exact inner step and vote sampling, gain estimation, and the
-// law-of-total-variance decomposition.
+// the exact inner step and vote sampling, gain estimation, the
+// law-of-total-variance decomposition, and estimate_gain's schedule (P^D on
+// the calling thread beside the replication chunks).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "ld/delegation/realize.hpp"
+#include "ld/election/engine.hpp"
 #include "ld/election/evaluator.hpp"
 #include "ld/election/tally.hpp"
 #include "ld/mech/approval_size_threshold.hpp"
@@ -16,6 +20,7 @@
 #include "ld/mech/multi_delegate.hpp"
 #include "ld/model/competency_gen.hpp"
 #include "prob/poisson_binomial.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -221,6 +226,180 @@ TEST(Evaluator, VarianceOfDirectVotingMatchesFormula) {
     const auto var = ld::election::estimate_variance(direct, inst, rng, opts);
     EXPECT_NEAR(var.mean_conditional_variance, var.direct_variance, 1e-9);
     EXPECT_NEAR(var.variance_of_conditional_mean, 0.0, 1e-9);
+}
+
+// ------------------------------------------- P^D beside the replications
+
+using ld::election::EvalOptions;
+using ld::election::GainReport;
+
+void expect_same_report(const GainReport& a, const GainReport& b) {
+    EXPECT_EQ(a.pd, b.pd);
+    EXPECT_EQ(a.pm.value, b.pm.value);
+    EXPECT_EQ(a.pm.std_error, b.pm.std_error);
+    EXPECT_EQ(a.pm.ci.lo, b.pm.ci.lo);
+    EXPECT_EQ(a.pm.ci.hi, b.pm.ci.hi);
+    EXPECT_EQ(a.pm.replications, b.pm.replications);
+    EXPECT_EQ(a.pm.certified.has_value(), b.pm.certified.has_value());
+    EXPECT_EQ(a.gain, b.gain);
+    EXPECT_EQ(a.gain_ci.lo, b.gain_ci.lo);
+    EXPECT_EQ(a.gain_ci.hi, b.gain_ci.hi);
+    EXPECT_EQ(a.mean_delegators, b.mean_delegators);
+    EXPECT_EQ(a.mean_max_weight, b.mean_max_weight);
+    EXPECT_EQ(a.mean_sinks, b.mean_sinks);
+    EXPECT_EQ(a.mean_longest_path, b.mean_longest_path);
+    EXPECT_EQ(a.certified_gain.has_value(), b.certified_gain.has_value());
+}
+
+double direct_probability(const model::Instance& inst, const EvalOptions& opts) {
+    return opts.approximate_tally
+               ? ld::election::approx_direct_probability(inst, opts.initial_weights)
+               : ld::election::exact_direct_probability_weighted(inst,
+                                                                 opts.initial_weights);
+}
+
+TEST(EstimateGainOverlap, ReportEqualsPdFirstReference) {
+    const auto inst = uniform_complete(90, 21);
+    const mech::ApprovalSizeThreshold m(1);
+    std::vector<std::uint64_t> weights(90);
+    Rng weight_rng(22);
+    for (auto& w : weights) w = 1 + weight_rng.next() % 4;
+    // Fewer workers than chunks at threads 4 and 7: the caller helps with
+    // the leftover chunks once P^D is done.
+    ld::support::ThreadPool pool(3);
+    ld::election::ReplicationEngine engine(pool);
+
+    for (const std::size_t threads : {1, 2, 4, 7}) {
+        for (const int tally : {0, 1, 2}) {
+            for (const bool weighted : {false, true}) {
+                SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                                  << " tally=" << tally
+                                                  << " weighted=" << weighted);
+                EvalOptions opts;
+                opts.replications = 37;
+                opts.threads = threads;
+                opts.engine = &engine;
+                opts.tally_epsilon = tally == 1 ? 1e-12 : 0.0;
+                opts.approximate_tally = tally == 2;
+                if (weighted) opts.initial_weights = weights;
+
+                Rng rng(23);
+                const GainReport report = ld::election::estimate_gain(m, inst, rng, opts);
+
+                // Reference: P^D first, then P^M on a copy of the same stream.
+                Rng ref_rng(23);
+                GainReport reference;
+                reference.pd = direct_probability(inst, opts);
+                reference.pm =
+                    ld::election::estimate_correct_probability(m, inst, ref_rng, opts);
+                reference.gain = reference.pm.value - reference.pd;
+                reference.gain_ci = {reference.pm.ci.lo - reference.pd,
+                                     reference.pm.ci.hi - reference.pd};
+                // The raw-thread route still computes P^D before it starts
+                // any replication: same streams, same chunks.
+                EvalOptions raw = opts;
+                raw.use_thread_pool = false;
+                Rng raw_rng(23);
+                const GainReport sequential =
+                    ld::election::estimate_gain(m, inst, raw_rng, raw);
+                reference.mean_delegators = sequential.mean_delegators;
+                reference.mean_max_weight = sequential.mean_max_weight;
+                reference.mean_sinks = sequential.mean_sinks;
+                reference.mean_longest_path = sequential.mean_longest_path;
+
+                expect_same_report(report, reference);
+                expect_same_report(sequential, reference);
+                EXPECT_EQ(rng.next(), ref_rng.next());
+            }
+        }
+    }
+}
+
+TEST(EstimateGainOverlap, CertifiedRouteDecidesAgainstPdFirst) {
+    const auto inst = uniform_complete(80, 24);
+    const mech::ApprovalSizeThreshold m(1);
+    for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        EvalOptions opts;
+        opts.certify.gamma = 0.02;
+        opts.certify.delta = 0.05;
+        opts.adaptive_batch = 16;
+        opts.max_replications = 800;
+        opts.tally_epsilon = 1e-12;
+        opts.threads = threads;
+        Rng rng(25);
+        const GainReport report = ld::election::estimate_gain(m, inst, rng, opts);
+
+        // The certified gain claim is P^M ≥ P^D + γ: the same run as a
+        // certified P^M estimate against that threshold.
+        const double pd = ld::election::exact_direct_probability(inst);
+        EvalOptions shifted = opts;
+        shifted.certify.gamma = pd + opts.certify.gamma;
+        Rng ref_rng(25);
+        const auto pm =
+            ld::election::estimate_correct_probability(m, inst, ref_rng, shifted);
+
+        EXPECT_EQ(report.pd, pd);
+        EXPECT_EQ(report.pm.value, pm.value);
+        EXPECT_EQ(report.pm.std_error, pm.std_error);
+        ASSERT_TRUE(report.pm.certified && pm.certified && report.certified_gain);
+        EXPECT_EQ(report.pm.certified->lo, pm.certified->lo);
+        EXPECT_EQ(report.pm.certified->hi, pm.certified->hi);
+        EXPECT_EQ(report.pm.certified->replications, pm.certified->replications);
+        EXPECT_EQ(report.pm.certified->looks, pm.certified->looks);
+        EXPECT_EQ(report.pm.certified->stop, pm.certified->stop);
+        EXPECT_EQ(report.certified_gain->lo, pm.certified->lo - pd);
+        EXPECT_EQ(report.certified_gain->hi, pm.certified->hi - pd);
+        EXPECT_EQ(rng.next(), ref_rng.next());
+    }
+}
+
+/// Delegates like ApprovalSizeThreshold(1) but throws from its
+/// `fail_at`-th act() call, and counts the calls still running.
+class ThrowingMechanism final : public mech::Mechanism {
+public:
+    explicit ThrowingMechanism(std::size_t fail_at) : fail_at_(fail_at) {}
+    std::string name() const override { return "throwing"; }
+    Action act(const model::Instance& instance, g::Vertex v,
+               Rng& rng) const override {
+        ++in_flight;
+        struct Leave {
+            std::atomic<int>& count;
+            ~Leave() { --count; }
+        } leave{in_flight};
+        if (++calls_ == fail_at_) throw std::runtime_error("mechanism failed");
+        return inner_.act(instance, v, rng);
+    }
+
+    mutable std::atomic<int> in_flight{0};
+
+private:
+    const mech::ApprovalSizeThreshold inner_{1};
+    std::size_t fail_at_;
+    mutable std::atomic<std::size_t> calls_{0};
+};
+
+TEST(EstimateGainOverlap, MidChunkThrowLeavesNoTaskRunning) {
+    const auto inst = uniform_complete(60, 26);
+    ld::support::ThreadPool pool(4);
+    ld::election::ReplicationEngine engine(pool);
+    EvalOptions opts;
+    opts.replications = 16;
+    opts.threads = 4;
+    opts.engine = &engine;
+    // Inside some chunk's third replication.
+    const ThrowingMechanism failing(60 * 2 + 7);
+    Rng rng(27);
+    EXPECT_THROW(ld::election::estimate_gain(failing, inst, rng, opts),
+                 std::runtime_error);
+    EXPECT_EQ(failing.in_flight.load(), 0);
+
+    // The engine and its pool stay usable.
+    const ThrowingMechanism healthy(0);
+    Rng again(27);
+    const GainReport report = ld::election::estimate_gain(healthy, inst, again, opts);
+    EXPECT_EQ(report.pm.replications, 16u);
+    EXPECT_EQ(report.pd, ld::election::exact_direct_probability(inst));
 }
 
 }  // namespace
