@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "ld/election/option_table.hpp"
 #include "support/json.hpp"
 #include "support/table_printer.hpp"  // for Cell
 
@@ -47,25 +48,12 @@ public:
 
 /// A parsed sweep spec: the axes of the cartesian grid plus fixed
 /// evaluation options shared by every cell.  Axis values are the same
-/// spec strings the CLI accepts (ld/cli/specs.hpp grammar).
-struct SweepSpec {
+/// spec strings the CLI accepts (ld/cli/specs.hpp grammar).  The
+/// evaluation settings (seed, replications, the `options` block) are the
+/// shared option table's; the scalar n and alpha stay unused — the axes
+/// below carry them.
+struct SweepSpec : election::EvalSettings {
     std::string name;                       ///< required; seeds and reports use it
-    std::uint64_t seed = 1;                 ///< sweep master seed
-    std::size_t replications = 200;         ///< Monte-Carlo replications per cell
-    std::size_t inner_samples = 8;          ///< EvalOptions::inner_samples
-    std::size_t threads = 1;                ///< replication workers (0 = auto)
-    bool discard_cycles = false;            ///< CyclePolicy::Discard for all cells
-    bool approximate = false;               ///< Lemma-4 normal-approximation tally
-    double target_std_error = 0.0;          ///< options.target_se: adaptive stopping
-                                            ///< (0 = fixed replication count)
-    std::size_t adaptive_batch = 64;        ///< options.adaptive_batch
-    std::size_t max_replications = 100'000; ///< options.max_reps: adaptive ceiling
-    double tally_epsilon = 0.0;             ///< options.tally_eps: certified
-                                            ///< ε-truncated tally (0 = exact)
-    double certify_gamma = 0.0;             ///< options.certify_gamma: gain threshold
-    double certify_delta = 0.0;             ///< options.certify_delta: error budget
-                                            ///< (> 0 enables certified stopping)
-    std::string certify_boundary = "empirical_bernstein";  ///< options.certify_boundary
     std::vector<std::size_t> ns;            ///< axis "n"
     std::vector<double> alphas;             ///< axis "alpha"
     std::vector<std::string> graphs;        ///< axis "graph"

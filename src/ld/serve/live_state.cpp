@@ -1,6 +1,5 @@
 #include "ld/serve/live_state.hpp"
 
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -9,48 +8,6 @@
 namespace ld::serve {
 
 namespace {
-
-// Param access helpers (mirrors router.cpp: every mismatch is a
-// BadRequest naming the key).
-
-[[noreturn]] void bad_param(const std::string& key, const std::string& what) {
-    throw ProtocolError(ErrorCode::BadRequest, "params." + key + ": " + what);
-}
-
-const json::Value& require(const json::Value& params, const std::string& key) {
-    if (!params.is_object()) {
-        throw ProtocolError(ErrorCode::BadRequest, "params object required");
-    }
-    const json::Value* value = params.find(key);
-    if (!value) bad_param(key, "missing");
-    return *value;
-}
-
-std::string require_string(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_string() || value.as_string().empty()) {
-        bad_param(key, "expected a non-empty string");
-    }
-    return value.as_string();
-}
-
-double require_number(const json::Value& params, const std::string& key) {
-    const json::Value& value = require(params, key);
-    if (!value.is_number()) bad_param(key, "expected a number");
-    return value.as_number();
-}
-
-std::size_t require_count(const json::Value& params, const std::string& key) {
-    const double d = require_number(params, key);
-    // Casting a NaN, an infinity or a value ≥ 2⁶⁴ to size_t is undefined
-    // behaviour, so range-check before the round-trip cast.
-    static_assert(std::numeric_limits<std::size_t>::digits == 64);
-    if (!(d >= 0 && d < 0x1p64) ||
-        d != static_cast<double>(static_cast<std::size_t>(d))) {
-        bad_param(key, "expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(d);
-}
 
 /// One validated op, parsed before any state is touched so a malformed
 /// ops array can never leave a patch half-applied.
@@ -63,7 +20,7 @@ struct ParsedOp {
 };
 
 std::vector<ParsedOp> parse_ops(const json::Value& params, std::size_t n) {
-    const json::Value& ops_value = require(params, "ops");
+    const json::Value& ops_value = require_param(params, "ops");
     if (!ops_value.is_array()) bad_param("ops", "expected an array");
     const auto& array = ops_value.as_array();
     if (array.empty()) bad_param("ops", "expected at least one op");
@@ -73,12 +30,12 @@ std::vector<ParsedOp> parse_ops(const json::Value& params, std::size_t n) {
     for (const json::Value& entry : array) {
         if (!entry.is_object()) bad_param("ops", "each op must be an object");
         ParsedOp op;
-        const std::string kind = require_string(entry, "op");
-        op.voter = require_count(entry, "voter");
+        const std::string kind = string_param(entry, "op");
+        op.voter = count_param(entry, "voter");
         if (op.voter >= n) bad_param("voter", "out of range");
         if (kind == "delegate") {
             op.kind = ParsedOp::Kind::Delegate;
-            op.to = require_count(entry, "to");
+            op.to = count_param(entry, "to");
             if (op.to >= n) bad_param("to", "out of range");
         } else if (kind == "vote") {
             op.kind = ParsedOp::Kind::Vote;
@@ -86,8 +43,7 @@ std::vector<ParsedOp> parse_ops(const json::Value& params, std::size_t n) {
             op.kind = ParsedOp::Kind::Abstain;
         } else if (kind == "competency") {
             op.kind = ParsedOp::Kind::Competency;
-            op.p = require_number(entry, "p");
-            if (op.p < 0.0 || op.p > 1.0) bad_param("p", "must be in [0, 1]");
+            op.p = number_param(entry, "p", {.lo = 0, .hi = 1});
         } else {
             bad_param("op", "expected delegate|vote|abstain|competency, got '" +
                                 kind + "'");
@@ -131,7 +87,7 @@ json::Object LiveState::apply_patch(const json::Value& params) {
     // Validate everything — epoch, then the full ops array — before any
     // mutation: a failed patch leaves the state byte-identical.
     if (params.is_object() && params.find("expect_epoch")) {
-        const std::uint64_t expected = require_count(params, "expect_epoch");
+        const std::uint64_t expected = count_param(params, "expect_epoch");
         if (expected != epoch_) {
             throw ProtocolError(ErrorCode::Conflict,
                                 "expect_epoch " + std::to_string(expected) +

@@ -114,4 +114,56 @@ std::string render_handshake() {
     return json::dump(json::Value(std::move(handshake)));
 }
 
+void bad_param(const std::string& key, const std::string& what) {
+    throw ProtocolError(ErrorCode::BadRequest, "params." + key + ": " + what);
+}
+
+const json::Value& require_param(const json::Value& params, const std::string& key) {
+    if (!params.is_object()) {
+        throw ProtocolError(ErrorCode::BadRequest, "params object required");
+    }
+    const json::Value* value = params.find(key);
+    if (!value) bad_param(key, "missing");
+    return *value;
+}
+
+std::string string_param(const json::Value& params, const std::string& key) {
+    const json::Value& value = require_param(params, key);
+    if (!value.is_string() || value.as_string().empty()) {
+        bad_param(key, "expected a non-empty string");
+    }
+    return value.as_string();
+}
+
+std::size_t count_param(const json::Value& params, const std::string& key,
+                        const election::Range& range) {
+    const json::Value& value = require_param(params, key);
+    if (!value.is_number()) bad_param(key, "expected a number");
+    try {
+        return election::require_count(value.as_number(), range);
+    } catch (const election::OptionError& e) {
+        bad_param(key, e.what());
+    }
+}
+
+double number_param(const json::Value& params, const std::string& key,
+                    const election::Range& range) {
+    const json::Value& value = require_param(params, key);
+    if (!value.is_number()) bad_param(key, "expected a number");
+    try {
+        return election::require_number(value.as_number(), range);
+    } catch (const election::OptionError& e) {
+        bad_param(key, e.what());
+    }
+}
+
+void read_params(const json::Value& params, election::EvalSettings& out,
+                 std::initializer_list<std::string_view> names) {
+    try {
+        election::read_serve_params(params, out, names);
+    } catch (const election::OptionError& e) {
+        bad_param(e.field(), e.what());
+    }
+}
+
 }  // namespace ld::serve

@@ -22,6 +22,7 @@
 #include <string>
 #include <string_view>
 
+#include "ld/election/option_table.hpp"
 #include "support/json.hpp"
 
 namespace ld::serve {
@@ -88,5 +89,30 @@ std::string render_error(const json::Value& id, ErrorCode code,
 
 /// The server's opening line: schema, build info, method list.
 std::string render_handshake();
+
+// Param access for the method handlers: every mismatch is a BadRequest
+// naming the key ("params.<key>: ...").  Numbers go through the shared
+// option table's range-checked casts (ld/election/option_table.hpp).
+
+[[noreturn]] void bad_param(const std::string& key, const std::string& what);
+
+/// params[key]; throws when params is not an object or lacks the key.
+const json::Value& require_param(const json::Value& params, const std::string& key);
+
+/// A non-empty string param.
+std::string string_param(const json::Value& params, const std::string& key);
+
+/// An integer param in `range` (always >= 0 and < 2^64).
+std::size_t count_param(const json::Value& params, const std::string& key,
+                        const election::Range& range = {});
+
+/// A finite number param in `range`.
+double number_param(const json::Value& params, const std::string& key,
+                    const election::Range& range = {});
+
+/// Read the shared-table options among `names` (all of them when empty)
+/// that params holds into `out`.
+void read_params(const json::Value& params, election::EvalSettings& out,
+                 std::initializer_list<std::string_view> names = {});
 
 }  // namespace ld::serve

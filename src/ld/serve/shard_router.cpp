@@ -90,15 +90,14 @@ std::string ShardRouter::routing_key_of(const Request& request) {
             // state to know where the instance lives.
             try {
                 const json::Value& params = request.params;
-                const std::string graph = params.at("graph").as_string();
-                const std::string competencies = params.at("competencies").as_string();
-                const auto n = static_cast<std::size_t>(params.at("n").as_number());
-                const double alpha = params.at("alpha").as_number();
-                std::uint64_t seed = 1;
-                if (const json::Value* s = params.find("seed")) {
-                    seed = static_cast<std::uint64_t>(s->as_number());
-                }
-                return InstanceCache::fingerprint(graph, competencies, n, alpha, seed);
+                require_param(params, "n");
+                require_param(params, "alpha");
+                election::EvalSettings settings;
+                read_params(params, settings, {"n", "alpha", "seed"});
+                return InstanceCache::fingerprint(params.at("graph").as_string(),
+                                                  params.at("competencies").as_string(),
+                                                  settings.n, settings.alpha,
+                                                  settings.seed);
             } catch (const std::exception&) {
                 // Malformed load: any stable key will do — the backend
                 // reports the real bad_request.

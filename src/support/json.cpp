@@ -159,7 +159,12 @@ private:
         const std::string token(text_.substr(start, pos_ - start));
         char* end = nullptr;
         const double parsed = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size()) fail("malformed number");
+        // A literal that overflows to ±inf (1e999) is refused, so every
+        // consumer sees finite doubles only — dump() cannot write ±inf
+        // back.  Underflow (1e-999) rounds to 0 and parses.
+        if (end != token.c_str() + token.size() || std::isinf(parsed)) {
+            fail("malformed number");
+        }
         return Value(parsed);
     }
 

@@ -488,7 +488,7 @@ TEST(CertifiedCli, ParsesCertifyAndBoundaryFlags) {
         {"--n", "50", "--certify", "0.05", "0.01", "--cs-boundary", "hoeffding"});
     EXPECT_DOUBLE_EQ(options.certify_gamma, 0.05);
     EXPECT_DOUBLE_EQ(options.certify_delta, 0.01);
-    EXPECT_EQ(options.cs_boundary, "hoeffding");
+    EXPECT_EQ(options.certify_boundary, "hoeffding");
     // Defaults leave certification off.
     EXPECT_EQ(ld::cli::parse_options({}).certify_delta, 0.0);
 }

@@ -174,4 +174,16 @@ TEST(JsonRoundTrip, EscapeHeavyStringsSurvive) {
     }
 }
 
+// A literal that overflows a double would parse to ±inf, which dump()
+// cannot write back; the parser refuses it so consumers only ever see
+// finite numbers.  Underflow rounds to zero and still parses.
+TEST(Json, OverflowingNumberLiteralsAreRefused) {
+    EXPECT_THROW(json::parse("1e999"), json::Error);
+    EXPECT_THROW(json::parse("-1e999"), json::Error);
+    EXPECT_THROW(json::parse(R"({"certify_gamma": 1e999})"), json::Error);
+    EXPECT_EQ(json::parse("1e-999").as_number(), 0.0);
+    EXPECT_EQ(json::parse("1.7976931348623157e308").as_number(),
+              std::numeric_limits<double>::max());
+}
+
 }  // namespace

@@ -647,6 +647,44 @@ TEST(SignalDrain, TriggerDrainsAServingServer) {
     ld::support::SignalDrain::reset();
 }
 
+// A number that overflows to infinity used to reach the batcher's dedup
+// key, whose json::dump threw inside the event loop: the server stopped
+// answering and SIGTERM no longer drained it.  The parser now refuses the
+// line, so the client gets bad_request and the server stays healthy.
+TEST(ServeServer, OverflowingNumberIsABadRequestAndTheServerStillDrains) {
+    ld::support::SignalDrain::reset();
+    ld::support::SignalDrain drain;
+    serve::ServerConfig config;
+    config.unix_socket = socket_path("overflow");
+    config.drain_on_signal = true;
+    serve::Server server(std::move(config));
+    server.start();
+    std::string line;
+    {
+        net::Socket client = net::connect_unix(server.config().unix_socket);
+        net::LineReader reader(client);
+        ASSERT_TRUE(reader.read_line(line));  // handshake
+        net::write_line(client,
+                        R"({"id": 1, "method": "eval", "params": {"mechanism": )"
+                        R"("threshold:1", "graph": "complete", "competencies": )"
+                        R"("uniform:0.3,0.7", "n": 20, "alpha": 0.05, )"
+                        R"("certify_gamma": 1e999}})");
+        ASSERT_TRUE(reader.read_line(line));
+        EXPECT_EQ(json::parse(line).at("error").at("code").as_string(), "bad_request")
+            << line;
+    }
+    net::Socket client = net::connect_unix(server.config().unix_socket);
+    net::LineReader reader(client);
+    ASSERT_TRUE(reader.read_line(line));  // a fresh connection still gets the handshake
+    net::write_line(client, R"({"id": 2, "method": "health"})");
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_TRUE(json::parse(line).at("ok").as_bool()) << line;
+
+    ASSERT_EQ(std::raise(SIGTERM), 0);  // handled by SignalDrain: a graceful drain
+    EXPECT_EQ(server.wait(), 0);
+    ld::support::SignalDrain::reset();
+}
+
 // CLI dispatch ------------------------------------------------------------
 
 TEST(ServeCli, DispatchKnowsEverySubcommand) {
