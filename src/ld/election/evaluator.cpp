@@ -4,7 +4,8 @@
 #include <array>
 #include <cmath>
 #include <functional>
-#include <thread>
+#include <optional>
+#include <vector>
 
 #include "ld/delegation/realize.hpp"
 #include "ld/election/engine.hpp"
@@ -84,6 +85,9 @@ void validate_options(const mech::Mechanism& mechanism, const model::Instance& i
                 "certify: the Lemma-4 normal tally has no certified error "
                 "bound; use the exact or truncated (tally_epsilon) route");
     }
+    expects((options.target_std_error <= 0.0 && !options.certify.enabled()) ||
+                (options.adaptive_batch > 0 && options.max_replications > 0),
+            "estimate: adaptive_batch and max_replications must be positive");
 }
 
 ReplicationEngine& engine_for(const EvalOptions& options) {
@@ -91,44 +95,55 @@ ReplicationEngine& engine_for(const EvalOptions& options) {
 }
 
 /// RAII wall-clock accounting for one estimate_* call: on destruction,
-/// credits the replication count and elapsed time to the engine counters
-/// and records the call's latency in the per-estimate histogram.  The
+/// credits `replications` and the elapsed time to the engine counters and
+/// records the call's latency in the per-estimate histogram.  The
 /// registry references are resolved once (they stay valid across reset()).
-class EstimateTimer {
-public:
-    explicit EstimateTimer(std::size_t replications) : replications_(replications) {}
-
-    /// Adaptive mode only learns the replication count at the end; let the
-    /// caller correct the initial guess before the destructor credits it.
-    void set_replications(std::size_t n) noexcept { replications_ = n; }
+struct EstimateTimer {
+    explicit EstimateTimer(std::size_t n = 0) : replications(n) {}
+    EstimateTimer(const EstimateTimer&) = delete;
+    EstimateTimer& operator=(const EstimateTimer&) = delete;
 
     ~EstimateTimer() {
-        static support::Counter& replications =
+        static support::Counter& replications_counter =
             support::MetricsRegistry::global().counter("engine.replications");
         static support::Counter& replication_ns =
             support::MetricsRegistry::global().counter("engine.replication_ns");
         static support::LatencyHistogram& latency =
             support::MetricsRegistry::global().histogram("estimate.latency");
-        replications.add(replications_);
-        replication_ns.add(clock_.elapsed_ns());
-        latency.record(clock_.elapsed_seconds());
+        replications_counter.add(replications);
+        replication_ns.add(clock.elapsed_ns());
+        latency.record(clock.elapsed_seconds());
     }
 
-    EstimateTimer(const EstimateTimer&) = delete;
-    EstimateTimer& operator=(const EstimateTimer&) = delete;
+    std::size_t replications;
+    support::Stopwatch clock;
+};
 
-private:
-    std::size_t replications_;
-    support::Stopwatch clock_;
+/// One replication's outputs: its P^M term and the realized delegation shape.
+struct Sample {
+    double pm = 0.0;
+    double delegators = 0.0;
+    double max_weight = 0.0;
+    double sinks = 0.0;
+    double longest = 0.0;
+    bool functional = false;
 };
 
 /// Rebuild `ws.outcome` from one sampled delegation realization, reusing
-/// the workspace's buffers (no copy of the initial weights is taken).
-void realize_with(const mech::Mechanism& mechanism, const model::Instance& instance,
-                  rng::Rng& rng, const EvalOptions& options,
-                  ReplicationWorkspace& ws) {
+/// the workspace's buffers (no copy of the initial weights is taken), and
+/// return its shape (P^M still 0).
+Sample realize_with(const mech::Mechanism& mechanism, const model::Instance& instance,
+                    rng::Rng& rng, const EvalOptions& options,
+                    ReplicationWorkspace& ws) {
     delegation::realize_into(ws.outcome, ws.resolve, mechanism, instance, rng,
                              options.initial_weights, options.cycle_policy);
+    const auto& st = ws.outcome.stats();
+    return {0.0,
+            static_cast<double>(st.delegator_count),
+            static_cast<double>(st.max_weight),
+            static_cast<double>(st.voting_sink_count),
+            static_cast<double>(st.longest_path),
+            ws.outcome.functional()};
 }
 
 Estimate finish(const stats::RunningStats& acc, double confidence) {
@@ -140,13 +155,24 @@ Estimate finish(const stats::RunningStats& acc, double confidence) {
     return e;
 }
 
-/// Per-replication statistics accumulated by one worker.
+/// Welford accumulators over samples.  The weight, sink and path shape
+/// is defined only for functional outcomes, so only those feed it.
 struct ReplicationStats {
     stats::RunningStats pm;
     stats::RunningStats delegators;
     stats::RunningStats max_weight;
     stats::RunningStats sinks;
     stats::RunningStats longest;
+
+    void add(const Sample& s) {
+        pm.add(s.pm);
+        delegators.add(s.delegators);
+        if (s.functional) {
+            max_weight.add(s.max_weight);
+            sinks.add(s.sinks);
+            longest.add(s.longest);
+        }
+    }
 
     void merge(const ReplicationStats& other) {
         pm.merge(other.pm);
@@ -157,186 +183,152 @@ struct ReplicationStats {
     }
 };
 
-/// Batched exact route: realize up to TallyBatch::kMaxLanes outcomes,
-/// stage their sink profiles, and advance all lanes' tally DPs in
-/// lockstep (prob/batch_tally) instead of K sequential DPs.  Only legal
-/// for mechanisms whose outcomes are always functional
-/// (!multi_delegation(): tallies consume no RNG, so realization order
-/// and the RNG stream match the sequential loop exactly) — and the
-/// batched tally is bit-identical per lane, so every accumulated number
-/// equals the sequential route bit for bit.
-ReplicationStats run_replications_batched(const mech::Mechanism& mechanism,
-                                          const model::Instance& instance,
-                                          rng::Rng& rng, const EvalOptions& options,
-                                          std::size_t count,
-                                          ReplicationWorkspace& ws) {
-    ReplicationStats acc;
+/// P^M given the realization in `ws.outcome`, one replication at a time:
+/// the exact, truncated or approximate tally for a functional outcome,
+/// inner vote sampling from `rng` otherwise.
+double tally_one(const EvalOptions& options, const model::CompetencyVector& p,
+                 rng::Rng& rng, ReplicationWorkspace& ws) {
+    const auto& outcome = ws.outcome;
+    if (outcome.functional()) {
+        if (options.approximate_tally) {
+            return approx_correct_probability(outcome, p, ws.tally);
+        }
+        if (options.tally_epsilon > 0.0) {
+            return truncated_correct_probability(outcome, p, options.tally_epsilon,
+                                                 ws.tally);
+        }
+        return exact_correct_probability(outcome, p, ws.tally);
+    }
+    expects(options.inner_samples > 0, "estimate: need inner samples");
+    // One topological order per realization, shared by all inner samples
+    // (the digraph is fixed within a replication).
+    ws.topo_order = outcome.as_digraph().topological_order();
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < options.inner_samples; ++i) {
+        if (sample_outcome_correct(outcome, p, rng, ws.topo_order, ws.tally)) ++correct;
+    }
+    return static_cast<double>(correct) / static_cast<double>(options.inner_samples);
+}
+
+/// The one replication body: realize, then tally, replications
+/// [first, first + count) on the calling thread's workspace, passing one
+/// Sample each to `emit` in index order.  `rng_for(i)` is replication i's
+/// generator: the worker's stream (one object for every i) or its own.
+///
+/// The exact route with always-functional outcomes (!multi_delegation())
+/// tallies up to TallyBatch::kMaxLanes realizations in lockstep
+/// (prob/batch_tally): those tallies draw no randomness, so batching keeps
+/// every RNG stream, and the batched tally is bit-identical per lane.
+template <class RngFor, class Emit>
+void run_chunk(const mech::Mechanism& mechanism, const model::Instance& instance,
+               const EvalOptions& options, std::size_t first, std::size_t count,
+               const RngFor& rng_for, Emit&& emit) {
+    ReplicationWorkspace& ws = engine_for(options).local_workspace();
     const auto& p = instance.competencies();
-    TallyBatch& batch = ws.tally_batch;
-    // Realized per-lane stats, copied out because `ws.outcome` is reused
-    // by the next lane's realization.
-    struct LaneStats {
-        double delegators, max_weight, sinks, longest;
-    };
-    std::array<LaneStats, TallyBatch::kMaxLanes> lane_stats;
-    std::size_t done = 0;
-    while (done < count) {
-        const std::size_t lanes = std::min(TallyBatch::kMaxLanes, count - done);
-        batch.clear();
-        for (std::size_t k = 0; k < lanes; ++k) {
-            realize_with(mechanism, instance, rng, options, ws);
-            expects(ws.outcome.functional(),
+    const bool batched = !mechanism.multi_delegation() && !options.approximate_tally &&
+                         options.tally_epsilon == 0.0 && count > 1;
+    const std::size_t width = batched ? TallyBatch::kMaxLanes : 1;
+    std::array<Sample, TallyBatch::kMaxLanes> lanes;
+    for (std::size_t done = 0; done < count; done += width) {
+        const std::size_t n = std::min(width, count - done);
+        ws.tally_batch.clear();
+        for (std::size_t k = 0; k < n; ++k) {
+            auto&& rng = rng_for(first + done + k);
+            lanes[k] = realize_with(mechanism, instance, rng, options, ws);
+            if (!batched) {
+                lanes[k].pm = tally_one(options, p, rng, ws);
+                continue;
+            }
+            expects(lanes[k].functional,
                     "estimate: batched tally requires functional outcomes");
-            stage_tally_lane(batch, ws.outcome, p);
-            const auto& st = ws.outcome.stats();
-            lane_stats[k] = {static_cast<double>(st.delegator_count),
-                             static_cast<double>(st.max_weight),
-                             static_cast<double>(st.voting_sink_count),
-                             static_cast<double>(st.longest_path)};
+            stage_tally_lane(ws.tally_batch, ws.outcome, p);
         }
-        tally_staged(batch);
-        // Accumulate in replication order (Welford updates are
-        // order-dependent), exactly as the sequential loop would.
-        for (std::size_t k = 0; k < lanes; ++k) {
-            acc.max_weight.add(lane_stats[k].max_weight);
-            acc.sinks.add(lane_stats[k].sinks);
-            acc.longest.add(lane_stats[k].longest);
-            acc.pm.add(batch.result[k]);
-            acc.delegators.add(lane_stats[k].delegators);
+        if (batched) tally_staged(ws.tally_batch);
+        for (std::size_t k = 0; k < n; ++k) {
+            if (batched) lanes[k].pm = ws.tally_batch.result[k];
+            emit(lanes[k]);
         }
-        done += lanes;
     }
-    return acc;
 }
 
-/// Run `count` replications sequentially with the given generator,
-/// recycling the worker's workspace between replications.
-ReplicationStats run_replications(const mech::Mechanism& mechanism,
-                                  const model::Instance& instance, rng::Rng& rng,
-                                  const EvalOptions& options, std::size_t count,
-                                  ReplicationWorkspace& ws) {
-    // The exact functional route batches: K replications per instruction
-    // stream through the SoA lockstep kernels.  Approximate/truncated
-    // tallies and multi-delegation inner sampling stay sequential (the
-    // latter interleaves RNG draws with realization, which batching
-    // would reorder); their convolutions still go through the dispatched
-    // SIMD kernels.
-    if (!mechanism.multi_delegation() && !options.approximate_tally &&
-        options.tally_epsilon == 0.0 && count > 1) {
-        return run_replications_batched(mechanism, instance, rng, options, count, ws);
-    }
-    ReplicationStats acc;
-    const auto& p = instance.competencies();
-    for (std::size_t r = 0; r < count; ++r) {
-        realize_with(mechanism, instance, rng, options, ws);
-        const auto& outcome = ws.outcome;
-        double pm_r;
-        if (outcome.functional()) {
-            if (options.approximate_tally) {
-                pm_r = approx_correct_probability(outcome, p, ws.tally);
-            } else if (options.tally_epsilon > 0.0) {
-                pm_r = truncated_correct_probability(outcome, p,
-                                                     options.tally_epsilon, ws.tally);
-            } else {
-                pm_r = exact_correct_probability(outcome, p, ws.tally);
-            }
-            const auto& st = outcome.stats();
-            acc.max_weight.add(static_cast<double>(st.max_weight));
-            acc.sinks.add(static_cast<double>(st.voting_sink_count));
-            acc.longest.add(static_cast<double>(st.longest_path));
-        } else {
-            expects(options.inner_samples > 0, "estimate: need inner samples");
-            // One topological order per realization, shared by all inner
-            // samples (the digraph is fixed within a replication).
-            ws.topo_order = outcome.as_digraph().topological_order();
-            std::size_t correct = 0;
-            for (std::size_t s = 0; s < options.inner_samples; ++s) {
-                if (sample_outcome_correct(outcome, p, rng, ws.topo_order, ws.tally)) {
-                    ++correct;
-                }
-            }
-            pm_r = static_cast<double>(correct) /
-                   static_cast<double>(options.inner_samples);
-        }
-        acc.pm.add(pm_r);
-        acc.delegators.add(static_cast<double>(outcome.stats().delegator_count));
-    }
-    return acc;
-}
-
-/// Adaptive replication loop: rounds of `options.adaptive_batch`
-/// replications, stopping once the merged P^M standard error reaches
-/// `options.target_std_error` (needs ≥ 2 reps — one sample has no SE) or
-/// `options.max_replications` is hit.  Determinism for fixed
-/// (seed, threads): worker streams are split once up front and persist
-/// across rounds, each round splits its batch base/extra across workers
-/// exactly like the fixed path, per-worker partials accumulate locally,
-/// and the stopping statistic is recomputed from a worker-ordered merge —
-/// nothing depends on scheduling.
-ReplicationStats run_adaptive_replications(const mech::Mechanism& mechanism,
-                                           const model::Instance& instance,
-                                           rng::Rng& rng, const EvalOptions& options,
-                                           std::size_t& replications_done) {
-    expects(options.adaptive_batch > 0, "estimate: adaptive_batch must be positive");
-    expects(options.max_replications > 0,
-            "estimate: max_replications must be positive");
-    static support::Counter& rounds_counter =
-        support::MetricsRegistry::global().counter("eval.adaptive_batches");
-    ReplicationEngine& engine = engine_for(options);
-    const std::size_t cap = options.max_replications;
-    const std::size_t batch = std::min(options.adaptive_batch, cap);
-    const std::size_t threads = std::min(options.threads, batch);
-
-    std::vector<rng::Rng> streams;
-    if (threads > 1) {
-        streams.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) streams.push_back(rng.split());
-    }
-    std::vector<ReplicationStats> partials(threads);
-    ReplicationStats merged;
-    std::size_t done = 0;
+/// The one fan-out: rounds of up to `batch` replications until `cap` are
+/// done or `stop(round size)`, asked after every round, says so; returns
+/// and credits (EstimateTimer) the count.  Slice t of a round takes base
+/// + (t < extra) replications, and `chunk(t, first, offset, count)` runs
+/// replications [first + offset, +count) on the engine's pool, inline
+/// when threads == 1.  `beside` runs once on the caller while the first
+/// round runs (before it when threads == 1); it draws no randomness.
+template <class Chunk, class Stop>
+std::size_t run_rounds(const EvalOptions& options, std::size_t threads, std::size_t batch,
+                       std::size_t cap, const Chunk& chunk, Stop&& stop,
+                       const std::function<void()>& beside) {
+    EstimateTimer timer;  // credits the rounds run, also when a chunk throws
+    std::size_t& done = timer.replications;
     while (true) {
         const std::size_t round = std::min(batch, cap - done);
         if (threads == 1) {
-            partials[0].merge(run_replications(mechanism, instance, rng, options,
-                                               round, engine.local_workspace()));
+            if (done == 0) beside();
+            chunk(0, done, 0, round);
         } else {
+            support::TaskGroup group(engine_for(options).pool());
             const std::size_t base = round / threads;
             const std::size_t extra = round % threads;
-            const auto chunk = [&](std::size_t t, std::size_t count) {
-                partials[t].merge(run_replications(mechanism, instance, streams[t],
-                                                   options, count,
-                                                   engine.local_workspace()));
-            };
-            if (options.use_thread_pool) {
-                support::TaskGroup group(engine.pool());
-                for (std::size_t t = 0; t < threads; ++t) {
-                    const std::size_t count = base + (t < extra ? 1 : 0);
-                    if (count > 0) group.submit([&chunk, t, count] { chunk(t, count); });
+            for (std::size_t t = 0, offset = 0; t < threads; ++t) {
+                const std::size_t count = base + (t < extra ? 1 : 0);
+                if (count > 0) {
+                    group.submit([&chunk, t, done, offset, count] {
+                        chunk(t, done, offset, count);
+                    });
                 }
-                group.wait();
-            } else {
-                std::vector<std::thread> workers;
-                workers.reserve(threads);
-                for (std::size_t t = 0; t < threads; ++t) {
-                    const std::size_t count = base + (t < extra ? 1 : 0);
-                    if (count > 0) workers.emplace_back([&chunk, t, count] { chunk(t, count); });
-                }
-                for (auto& w : workers) w.join();
+                offset += count;
             }
+            if (done == 0) beside();
+            group.wait();
         }
         done += round;
-        rounds_counter.add(1);
+        if (stop(round) || done >= cap) return done;
+    }
+}
+
+/// Fixed-N and `--target-se` routes.  Worker t draws from its own stream
+/// (split once up front; the caller's own when threads == 1), folds its
+/// chunk with Welford and merges that into partial t; the partials merge
+/// in worker order.  Fixed N is one round of N; `--target-se` runs rounds
+/// of `adaptive_batch` until the merged P^M standard error (needs two
+/// samples) reaches the target or `max_replications` is hit.  Nothing
+/// depends on scheduling: a fixed (seed, threads) pair is reproducible.
+void run_streams(const mech::Mechanism& mechanism, const model::Instance& instance,
+                 rng::Rng& rng, const EvalOptions& options,
+                 const std::function<void()>& beside, ReplicationStats& merged) {
+    static support::Counter& rounds_counter =
+        support::MetricsRegistry::global().counter("eval.adaptive_batches");
+    const bool adaptive = options.target_std_error > 0.0;
+    const std::size_t cap = adaptive ? options.max_replications : options.replications;
+    const std::size_t batch = adaptive ? std::min(options.adaptive_batch, cap) : cap;
+    const std::size_t threads = std::min(options.threads, batch);
+    // split() advances the parent, so the streams depend on (seed, threads).
+    std::vector<rng::Rng> streams;
+    while (threads > 1 && streams.size() < threads) streams.push_back(rng.split());
+    std::vector<ReplicationStats> partials(threads);
+    const auto chunk = [&](std::size_t t, std::size_t first, std::size_t,
+                           std::size_t count) {
+        rng::Rng& stream = threads == 1 ? rng : streams[t];
+        ReplicationStats local;
+        run_chunk(
+            mechanism, instance, options, first, count,
+            [&stream](std::size_t) -> rng::Rng& { return stream; },
+            [&local](const Sample& s) { local.add(s); });
+        partials[t].merge(local);
+    };
+    const auto stop = [&](std::size_t) {
         merged = ReplicationStats{};
         for (const auto& partial : partials) merged.merge(partial);
-        if (done >= cap) break;
-        if (merged.pm.count() >= 2 &&
-            merged.pm.standard_error() <= options.target_std_error) {
-            break;
-        }
-    }
-    replications_done = done;
-    return merged;
+        if (!adaptive) return true;
+        rounds_counter.add(1);
+        return merged.pm.count() >= 2 &&
+               merged.pm.standard_error() <= options.target_std_error;
+    };
+    run_rounds(options, threads, batch, cap, chunk, stop, beside);
 }
 
 /// Seed of the i-th replication of a certified run.  The same SplitMix64
@@ -350,117 +342,19 @@ std::uint64_t certified_replication_seed(std::uint64_t master, std::size_t index
     return mix.next();
 }
 
-/// One certified replication's outputs, buffered per index so the caller
-/// can fold them in replication order regardless of which worker
-/// produced them.
-struct CertSample {
-    double pm = 0.0;
-    double delegators = 0.0;
-    double max_weight = 0.0;
-    double sinks = 0.0;
-    double longest = 0.0;
-    bool functional = false;
-};
-
-/// Run certified replications for indices [first, first + count), each
-/// from its own derived RNG, writing results into out[0..count).  The
-/// exact functional route still batches through the SoA tally kernels —
-/// legal here because each lane's realization consumes only its own
-/// per-index stream, so lane order cannot leak into the samples.
-void run_certified_chunk(const mech::Mechanism& mechanism,
-                         const model::Instance& instance, const EvalOptions& options,
-                         std::uint64_t master, std::size_t first, std::size_t count,
-                         ReplicationWorkspace& ws, CertSample* out) {
-    const auto& p = instance.competencies();
-    const auto record_shape = [](CertSample& s, const auto& st, bool functional) {
-        s.delegators = static_cast<double>(st.delegator_count);
-        s.max_weight = static_cast<double>(st.max_weight);
-        s.sinks = static_cast<double>(st.voting_sink_count);
-        s.longest = static_cast<double>(st.longest_path);
-        s.functional = functional;
-    };
-    if (!mechanism.multi_delegation() && !options.approximate_tally &&
-        options.tally_epsilon == 0.0 && count > 1) {
-        TallyBatch& batch = ws.tally_batch;
-        std::size_t done = 0;
-        while (done < count) {
-            const std::size_t lanes = std::min(TallyBatch::kMaxLanes, count - done);
-            batch.clear();
-            for (std::size_t k = 0; k < lanes; ++k) {
-                rng::Rng rep_rng(certified_replication_seed(master, first + done + k));
-                realize_with(mechanism, instance, rep_rng, options, ws);
-                expects(ws.outcome.functional(),
-                        "estimate: batched tally requires functional outcomes");
-                stage_tally_lane(batch, ws.outcome, p);
-                record_shape(out[done + k], ws.outcome.stats(), true);
-            }
-            tally_staged(batch);
-            for (std::size_t k = 0; k < lanes; ++k) out[done + k].pm = batch.result[k];
-            done += lanes;
-        }
-        return;
-    }
-    for (std::size_t r = 0; r < count; ++r) {
-        rng::Rng rep_rng(certified_replication_seed(master, first + r));
-        realize_with(mechanism, instance, rep_rng, options, ws);
-        const auto& outcome = ws.outcome;
-        CertSample& s = out[r];
-        if (outcome.functional()) {
-            s.pm = options.tally_epsilon > 0.0
-                       ? truncated_correct_probability(outcome, p,
-                                                       options.tally_epsilon, ws.tally)
-                       : exact_correct_probability(outcome, p, ws.tally);
-            record_shape(s, outcome.stats(), true);
-        } else {
-            ws.topo_order = outcome.as_digraph().topological_order();
-            std::size_t correct = 0;
-            for (std::size_t i = 0; i < options.inner_samples; ++i) {
-                if (sample_outcome_correct(outcome, p, rep_rng, ws.topo_order,
-                                           ws.tally)) {
-                    ++correct;
-                }
-            }
-            s.pm = static_cast<double>(correct) /
-                   static_cast<double>(options.inner_samples);
-            record_shape(s, outcome.stats(), false);
-            s.functional = false;
-        }
-    }
-}
-
-struct CertifiedRun {
-    ReplicationStats stats;             ///< folded in replication-index order
-    stats::CertifiedEstimate certificate;
-};
-
-/// Certified anytime-valid replication loop: rounds of `adaptive_batch`
-/// replications, a confidence-sequence look after each round, stopping
-/// when the certified interval (statistical half-width + the ε/2
-/// truncated-tally bound) clears `threshold` on either side or
-/// `max_replications` is exhausted.
-///
-/// Determinism contract (stronger than run_adaptive_replications): every
-/// replication draws from a seed derived from (master, index) alone, and
-/// all folding — Welford accumulators and the confidence sequence — walks
-/// the round buffer in index order.  The stop point, certificate, and
-/// every report field are therefore bit-identical across *different*
-/// thread counts for a fixed seed, not merely for fixed (seed, threads).
-CertifiedRun run_certified_replications(const mech::Mechanism& mechanism,
-                                        const model::Instance& instance,
-                                        rng::Rng& rng, const EvalOptions& options,
-                                        double threshold) {
+/// `--certify` route: rounds of `adaptive_batch` replications with a
+/// confidence-sequence look after each, stopping once the certified
+/// interval (statistical half-width + the ε/2 truncated-tally bound)
+/// clears `threshold` on either side or `max_replications` is exhausted.
+/// Replication i draws from Rng(certified_replication_seed(master, i))
+/// alone and the fold walks the round buffer in index order, so every
+/// output is bit-identical across thread counts for a fixed seed.
+void run_certified(const mech::Mechanism& mechanism, const model::Instance& instance,
+                   rng::Rng& rng, const EvalOptions& options, double threshold,
+                   ReplicationStats& acc, stats::CertifiedEstimate& cert) {
     const CertifySpec& spec = options.certify;
-    expects(options.adaptive_batch > 0, "estimate: adaptive_batch must be positive");
-    expects(options.max_replications > 0,
-            "estimate: max_replications must be positive");
     static support::Counter& looks_counter =
         support::MetricsRegistry::global().counter("cert.boundary_evals");
-    static support::Gauge& stop_gauge =
-        support::MetricsRegistry::global().gauge("cert.stop_reason");
-    static support::Gauge& width_gauge =
-        support::MetricsRegistry::global().gauge("cert.final_half_width_ppm");
-
-    ReplicationEngine& engine = engine_for(options);
     const std::uint64_t master = rng.next();
     const std::size_t cap = options.max_replications;
     const std::size_t batch = std::min(options.adaptive_batch, cap);
@@ -468,160 +362,77 @@ CertifiedRun run_certified_replications(const mech::Mechanism& mechanism,
     // sample mean is within ε/2 of the exact-tally sample mean; widening
     // the statistical interval by ε/2 per side covers it (exact DP: 0).
     const double num_err = options.tally_epsilon / 2.0;
-
     stats::ConfidenceSequence cs(spec.boundary, spec.delta);
-    CertifiedRun run;
-    run.certificate.delta = spec.delta;
-    run.certificate.numerical_error = num_err;
-    std::vector<CertSample> round(batch);
+    cert.delta = spec.delta;
+    cert.numerical_error = num_err;
+    std::vector<Sample> round(batch);
 
-    std::size_t done = 0;
-    while (true) {
-        const std::size_t round_n = std::min(batch, cap - done);
-        const std::size_t threads = std::min(options.threads, round_n);
-        if (threads <= 1) {
-            run_certified_chunk(mechanism, instance, options, master, done, round_n,
-                                engine.local_workspace(), round.data());
-        } else {
-            const std::size_t base = round_n / threads;
-            const std::size_t extra = round_n % threads;
-            const auto chunk = [&](std::size_t offset, std::size_t count) {
-                run_certified_chunk(mechanism, instance, options, master,
-                                    done + offset, count, engine.local_workspace(),
-                                    round.data() + offset);
-            };
-            if (options.use_thread_pool) {
-                support::TaskGroup group(engine.pool());
-                std::size_t offset = 0;
-                for (std::size_t t = 0; t < threads; ++t) {
-                    const std::size_t count = base + (t < extra ? 1 : 0);
-                    if (count > 0) {
-                        group.submit([&chunk, offset, count] { chunk(offset, count); });
-                    }
-                    offset += count;
-                }
-                group.wait();
-            } else {
-                std::vector<std::thread> workers;
-                workers.reserve(threads);
-                std::size_t offset = 0;
-                for (std::size_t t = 0; t < threads; ++t) {
-                    const std::size_t count = base + (t < extra ? 1 : 0);
-                    if (count > 0) {
-                        workers.emplace_back(
-                            [&chunk, offset, count] { chunk(offset, count); });
-                    }
-                    offset += count;
-                }
-                for (auto& w : workers) w.join();
-            }
-        }
+    const auto chunk = [&](std::size_t, std::size_t first, std::size_t offset,
+                           std::size_t count) {
+        run_chunk(
+            mechanism, instance, options, first + offset, count,
+            [master](std::size_t i) {
+                return rng::Rng(certified_replication_seed(master, i));
+            },
+            [out = round.data() + offset](const Sample& s) mutable { *out++ = s; });
+    };
+    const auto stop = [&](std::size_t round_n) {
         for (std::size_t k = 0; k < round_n; ++k) {
-            const CertSample& s = round[k];
+            Sample s = round[k];
             // Truncated-tally midpoints can poke ε/2 past [0, 1]; clamping
             // moves a sample by at most its own numerical error, which the
             // ε/2 widening below already budgets for.
-            const double pm = std::clamp(s.pm, 0.0, 1.0);
-            cs.add(pm);
-            run.stats.pm.add(pm);
-            run.stats.delegators.add(s.delegators);
-            if (s.functional) {
-                run.stats.max_weight.add(s.max_weight);
-                run.stats.sinks.add(s.sinks);
-                run.stats.longest.add(s.longest);
-            }
+            s.pm = std::clamp(s.pm, 0.0, 1.0);
+            cs.add(s.pm);
+            acc.add(s);
         }
-        done += round_n;
         // The empirical-Bernstein half-width divides by t − 1; defer the
         // first look until two observations exist (batch == cap == 1).
-        const bool can_look = spec.boundary != stats::CsBoundary::EmpiricalBernstein ||
-                              cs.count() >= 2;
-        if (can_look) {
-            const stats::Interval iv = cs.look();
-            looks_counter.add(1);
-            run.certificate.lo = std::clamp(iv.lo - num_err, 0.0, 1.0);
-            run.certificate.hi = std::clamp(iv.hi + num_err, 0.0, 1.0);
-            if (run.certificate.lo >= threshold) {
-                run.certificate.stop = stats::CertStop::DecidedAbove;
-                break;
-            }
-            if (run.certificate.hi < threshold) {
-                run.certificate.stop = stats::CertStop::DecidedBelow;
-                break;
-            }
+        if (spec.boundary == stats::CsBoundary::EmpiricalBernstein && cs.count() < 2) {
+            return false;
         }
-        if (done >= cap) break;
-    }
-    run.certificate.replications = done;
-    run.certificate.looks = cs.looks();
-    stop_gauge.set(static_cast<std::int64_t>(run.certificate.stop));
-    width_gauge.set(static_cast<std::int64_t>(
-        std::llround(run.certificate.half_width() * 1e6)));
-    return run;
+        const stats::Interval iv = cs.look();
+        looks_counter.add(1);
+        cert.lo = std::clamp(iv.lo - num_err, 0.0, 1.0);
+        cert.hi = std::clamp(iv.hi + num_err, 0.0, 1.0);
+        if (cert.lo >= threshold) {
+            cert.stop = stats::CertStop::DecidedAbove;
+        } else if (cert.hi < threshold) {
+            cert.stop = stats::CertStop::DecidedBelow;
+        }
+        return cert.decided();
+    };
+    cert.replications = run_rounds(options, std::min(options.threads, batch), batch, cap,
+                                   chunk, stop, [] {});
+    cert.looks = cs.looks();
+    auto& registry = support::MetricsRegistry::global();
+    registry.gauge("cert.stop_reason").set(static_cast<std::int64_t>(cert.stop));
+    registry.gauge("cert.final_half_width_ppm")
+        .set(static_cast<std::int64_t>(std::llround(cert.half_width() * 1e6)));
 }
 
-/// Run `options.replications` replications, fanning out to
-/// `options.threads` workers with independent jumped RNG streams on the
-/// engine's persistent pool (or, legacy path, on freshly spawned threads).
-/// `beside` runs once on the calling thread: while the pool chunks run on
-/// the fixed-N pool path, before the replications on every other route.
-/// It must draw no randomness, so the streams are the same either way.
-ReplicationStats run_all_replications(const mech::Mechanism& mechanism,
-                                      const model::Instance& instance, rng::Rng& rng,
-                                      const EvalOptions& options,
-                                      const std::function<void()>& beside = [] {}) {
-    validate_options(mechanism, instance, options);
-    EstimateTimer timer(options.replications);
-    if (options.target_std_error > 0.0) {
-        beside();
-        std::size_t done = 0;
-        auto merged =
-            run_adaptive_replications(mechanism, instance, rng, options, done);
-        timer.set_replications(done);
-        return merged;
-    }
-    ReplicationEngine& engine = engine_for(options);
-    const std::size_t threads =
-        std::min(options.threads, options.replications);
-    if (threads == 1) {
-        beside();
-        return run_replications(mechanism, instance, rng, options,
-                                options.replications, engine.local_workspace());
-    }
-    // Derive one independent stream per worker up front (split mutates the
-    // parent, keeping the whole run deterministic for fixed seed+threads).
-    std::vector<rng::Rng> streams;
-    streams.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) streams.push_back(rng.split());
+/// Replication statistics plus, on the certified route, the certificate.
+struct Run {
+    ReplicationStats stats;
+    std::optional<stats::CertifiedEstimate> certificate;
+};
 
-    std::vector<ReplicationStats> partials(threads);
-    const std::size_t base = options.replications / threads;
-    const std::size_t extra = options.replications % threads;
-    const auto chunk = [&](std::size_t t, std::size_t count) {
-        partials[t] = run_replications(mechanism, instance, streams[t], options,
-                                       count, engine.local_workspace());
-    };
-    if (options.use_thread_pool) {
-        support::TaskGroup group(engine.pool());
-        for (std::size_t t = 0; t < threads; ++t) {
-            const std::size_t count = base + (t < extra ? 1 : 0);
-            group.submit([&chunk, t, count] { chunk(t, count); });
-        }
-        beside();
-        group.wait();
+/// Validate, then run the replications.  `direct` computes the P^D
+/// baseline (none: 0) and draws no randomness.  The certified route
+/// decides P^M ≥ P^D + γ, so it runs `direct` first; the other routes run
+/// it beside the first round.
+Run replicate(const mech::Mechanism& mechanism, const model::Instance& instance,
+              rng::Rng& rng, const EvalOptions& options,
+              const std::function<double()>& direct = [] { return 0.0; }) {
+    validate_options(mechanism, instance, options);
+    Run run;
+    if (options.certify.enabled()) {
+        run_certified(mechanism, instance, rng, options, direct() + options.certify.gamma,
+                      run.stats, run.certificate.emplace());
     } else {
-        beside();
-        std::vector<std::thread> workers;
-        workers.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            const std::size_t count = base + (t < extra ? 1 : 0);
-            workers.emplace_back([&chunk, t, count] { chunk(t, count); });
-        }
-        for (auto& w : workers) w.join();
+        run_streams(mechanism, instance, rng, options, [&] { direct(); }, run.stats);
     }
-    ReplicationStats merged;
-    for (const auto& partial : partials) merged.merge(partial);
-    return merged;
+    return run;
 }
 
 }  // namespace
@@ -629,19 +440,11 @@ ReplicationStats run_all_replications(const mech::Mechanism& mechanism,
 Estimate estimate_correct_probability(const mech::Mechanism& mechanism,
                                       const model::Instance& instance, rng::Rng& rng,
                                       const EvalOptions& options) {
-    if (options.certify.enabled()) {
-        validate_options(mechanism, instance, options);
-        EstimateTimer timer(0);
-        // No gain baseline here: the certificate decides P^M ≥ γ directly.
-        const auto run = run_certified_replications(mechanism, instance, rng,
-                                                    options, options.certify.gamma);
-        timer.set_replications(run.certificate.replications);
-        Estimate e = finish(run.stats.pm, options.confidence);
-        e.certified = run.certificate;
-        return e;
-    }
-    const auto acc = run_all_replications(mechanism, instance, rng, options);
-    return finish(acc.pm, options.confidence);
+    // No baseline: a certificate decides P^M ≥ γ directly.
+    const Run run = replicate(mechanism, instance, rng, options);
+    Estimate e = finish(run.stats.pm, options.confidence);
+    e.certified = run.certificate;
+    return e;
 }
 
 Estimate estimate_correct_probability_naive(const mech::Mechanism& mechanism,
@@ -663,31 +466,20 @@ GainReport estimate_gain(const mech::Mechanism& mechanism,
                          const model::Instance& instance, rng::Rng& rng,
                          const EvalOptions& options) {
     GainReport report;
-    const auto compute_pd = [&] {
+    const Run run = replicate(mechanism, instance, rng, options, [&] {
         report.pd = options.approximate_tally
                         ? approx_direct_probability(instance, options.initial_weights)
                         : exact_direct_probability_weighted(instance,
                                                             options.initial_weights);
-    };
-    ReplicationStats acc;
-    if (options.certify.enabled()) {
-        compute_pd();  // the stop threshold needs P^D up front
-        validate_options(mechanism, instance, options);
-        EstimateTimer timer(0);
-        // Decide "gain ≥ γ" on the P^M scale: P^D is exact, so the claim
-        // is equivalent to P^M ≥ P^D + γ.
-        const auto run = run_certified_replications(mechanism, instance, rng,
-                                                    options,
-                                                    report.pd + options.certify.gamma);
-        timer.set_replications(run.certificate.replications);
-        acc = run.stats;
-        report.pm = finish(acc.pm, options.confidence);
-        report.pm.certified = run.certificate;
-        report.certified_gain = stats::Interval{run.certificate.lo - report.pd,
-                                                run.certificate.hi - report.pd};
-    } else {
-        acc = run_all_replications(mechanism, instance, rng, options, compute_pd);
-        report.pm = finish(acc.pm, options.confidence);
+        return report.pd;
+    });
+    const ReplicationStats& acc = run.stats;
+    report.pm = finish(acc.pm, options.confidence);
+    report.pm.certified = run.certificate;
+    if (run.certificate) {
+        // P^D is exact, so "gain ≥ γ" is the certified "P^M ≥ P^D + γ".
+        report.certified_gain = stats::Interval{run.certificate->lo - report.pd,
+                                                run.certificate->hi - report.pd};
     }
     report.gain = report.pm.value - report.pd;
     report.gain_ci = {report.pm.ci.lo - report.pd, report.pm.ci.hi - report.pd};

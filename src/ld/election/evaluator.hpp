@@ -44,11 +44,13 @@ class ReplicationEngine;
 /// ε/2 truncated-tally numerical bound, so the reported [lo, hi] covers
 /// both error sources (docs/STATISTICS.md).
 ///
-/// Determinism is *stronger* than the adaptive-SE path: the certified
-/// loop derives one SplitMix64 seed per replication index and folds
-/// samples in index order, so the stop point and interval are
-/// bit-identical across thread counts, not just for fixed
-/// (seed, threads).
+/// It runs through the same replication loop as the other routes, in
+/// rounds of `EvalOptions::adaptive_batch` with a confidence-sequence
+/// look as the stop rule.  Determinism is *stronger* than on the other
+/// routes: each replication's RNG is seeded by its index (SplitMix64 of
+/// a master draw) instead of coming from a worker's stream, and samples
+/// fold in index order, so the stop point and interval are bit-identical
+/// across thread counts, not just for fixed (seed, threads).
 struct CertifySpec {
     /// Gain (resp. P^M) threshold the certificate decides against.
     double gamma = 0.0;
@@ -60,7 +62,11 @@ struct CertifySpec {
     bool enabled() const noexcept { return delta > 0.0; }
 };
 
-/// Knobs for Monte-Carlo evaluation.
+/// Knobs for Monte-Carlo evaluation.  Every route runs one replication
+/// loop: rounds of chunks fanned out over the engine's pool, with a stop
+/// rule after each round — fixed `replications` is a single round,
+/// `target_std_error` stops on the standard error, `certify` on the
+/// confidence sequence.
 struct EvalOptions {
     /// Number of delegation-graph realizations (fixed mode; ignored when
     /// `target_std_error` enables adaptive stopping).
@@ -98,8 +104,9 @@ struct EvalOptions {
     /// Cycle handling for realized delegation graphs.  Use Discard for
     /// mechanisms that are not approval-respecting (e.g. NoisyThreshold).
     delegation::CyclePolicy cycle_policy = delegation::CyclePolicy::Throw;
-    /// Worker threads for the replication loop (1 = sequential).  Each
-    /// worker draws from an independent jumped RNG stream; results are
+    /// Worker threads for the replication loop (1 = sequential, on the
+    /// calling thread; more = chunks on the engine's pool).  Each worker
+    /// draws from an independent jumped RNG stream; results are
     /// deterministic for a fixed (seed, threads) pair.
     std::size_t threads = 1;
     /// Use the Lemma-4 normal approximation for the inner tally instead of
@@ -111,10 +118,6 @@ struct EvalOptions {
     /// workspaces).  Null means the process-wide shared engine; pass a
     /// dedicated engine to isolate workspaces (e.g. in tests).
     ReplicationEngine* engine = nullptr;
-    /// When false, fan out with per-call std::thread spawn/join instead of
-    /// the engine's pool — the legacy execution path, kept as a
-    /// determinism reference (results are bit-identical either way).
-    bool use_thread_pool = true;
     /// Certified anytime-valid stopping (`--certify γ δ`).  When enabled,
     /// overrides both fixed `replications` and `target_std_error`:
     /// replications run in rounds of `adaptive_batch` up to

@@ -1,5 +1,6 @@
 #include "ld/experiments/sweep.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
@@ -400,17 +401,35 @@ std::map<std::size_t, SweepEngine::Row> SweepEngine::load_checkpoint() const {
     check(doc.at("schema").as_string() == "liquidd.sweep.v1", "schema");
     check(doc.at("spec_fingerprint").as_string() == hex_seed(spec_.fingerprint()),
           "spec changed since the checkpoint was written");
-    check(static_cast<std::size_t>(doc.at("shard").at("index").as_number()) ==
-                  options_.shard.index &&
-              static_cast<std::size_t>(doc.at("shard").at("count").as_number()) ==
+    // A hand-edited or corrupt manifest is refused, never cast: counts go
+    // through the option table's range-checked cast, keys must be plain
+    // decimal indices.
+    const auto corrupt = [&](const std::string& what) {
+        return SweepError("sweep: checkpoint '" + options_.checkpoint_path +
+                          "' is corrupt: " + what);
+    };
+    const auto count_at = [&](const json::Value& value, const std::string& what) {
+        try {
+            return election::require_count(value.as_number(), {});
+        } catch (const std::runtime_error& e) {  // OptionError or json::Error
+            throw corrupt(what + " " + e.what());
+        }
+    };
+    check(count_at(doc.at("shard").at("index"), "shard.index") == options_.shard.index &&
+              count_at(doc.at("shard").at("count"), "shard.count") ==
                   options_.shard.count,
           "shard assignment differs");
-    check(static_cast<std::size_t>(doc.at("threads").as_number()) == resolved_threads_,
+    check(count_at(doc.at("threads"), "threads") == resolved_threads_,
           "thread count differs (the replication split depends on it)");
 
     const std::size_t width = row_headers().size();
     for (const auto& [key, fields] : doc.at("cells").as_object()) {
-        const std::size_t index = static_cast<std::size_t>(std::stoull(key));
+        std::size_t index = 0;
+        const char* end = key.data() + key.size();
+        const auto parsed = std::from_chars(key.data(), end, index);
+        if (parsed.ec != std::errc() || parsed.ptr != end) {
+            throw corrupt("cell key '" + key + "' is not a cell index");
+        }
         const json::Array& array = fields.as_array();
         check(array.size() == width, "cell " + key + " has wrong width");
         Row row;

@@ -1,6 +1,7 @@
 #include "ld/model/instance.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "support/expect.hpp"
@@ -48,7 +49,11 @@ std::vector<std::size_t> Instance::approved_neighbour_counts() const {
 }
 
 std::size_t Instance::partition_complexity_bound() const {
-    return static_cast<std::size_t>(std::ceil(1.0 / alpha_));
+    // A tiny alpha puts ⌈1/α⌉ past size_t (or at +inf); casting it would be
+    // undefined behaviour, so the bound saturates.
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    const double bound = std::ceil(1.0 / alpha_);
+    return bound < static_cast<double>(kMax) ? static_cast<std::size_t>(bound) : kMax;
 }
 
 std::string Instance::describe() const {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/generators.hpp"
 #include "ld/model/approval.hpp"
 #include "ld/model/competency_gen.hpp"
@@ -82,6 +84,9 @@ TEST(Instance, PartitionComplexityBoundIsCeilOneOverAlpha) {
     EXPECT_EQ(a.partition_complexity_bound(), 4u);
     const Instance b(g::make_complete(2), CompetencyVector({0.4, 0.6}), 0.3);
     EXPECT_EQ(b.partition_complexity_bound(), 4u);  // ceil(1/0.3)
+    // ceil(1/1e-300) = 1e300 does not fit in size_t: the bound saturates.
+    const Instance c(g::make_complete(2), CompetencyVector({0.4, 0.6}), 1e-300);
+    EXPECT_EQ(c.partition_complexity_bound(), std::numeric_limits<std::size_t>::max());
 }
 
 TEST(Instance, SatisfiesGraphRestrictions) {

@@ -184,7 +184,6 @@ void expect_same(const election::EvalOptions& a, const election::EvalOptions& b,
     EXPECT_EQ(a.threads, b.threads);
     EXPECT_EQ(a.approximate_tally, b.approximate_tally);
     EXPECT_EQ(a.engine, b.engine);
-    EXPECT_EQ(a.use_thread_pool, b.use_thread_pool);
     EXPECT_EQ(a.certify.gamma, b.certify.gamma);
     EXPECT_EQ(a.certify.delta, b.certify.delta);
     EXPECT_EQ(a.certify.boundary, b.certify.boundary);

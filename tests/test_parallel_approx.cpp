@@ -12,7 +12,9 @@
 #include "ld/mech/direct.hpp"
 #include "ld/mech/multi_delegate.hpp"
 #include "ld/model/competency_gen.hpp"
+#include "sequential_reference.hpp"
 #include "support/expect.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -79,24 +81,58 @@ TEST(ParallelEval, ZeroThreadsRejected) {
                  ContractViolation);
 }
 
-TEST(ParallelEval, PoolMatchesLegacySpawnPathBitForBit) {
-    // The pool and the legacy std::thread spawn/join path share the stream
-    // split and merge order, so for a fixed (seed, threads) pair they must
-    // agree to the last bit — not just statistically.
+TEST(ParallelEval, PoolMatchesSequentialReferenceBitForBit) {
+    // The pooled fixed-count route keeps the sequential reference's stream
+    // split and merge order (tests/sequential_reference.hpp), so for a
+    // fixed (seed, threads) pair both estimators must agree with it to the
+    // last bit — on every tally route, with and without initial weights,
+    // and for multi-delegation's inner vote sampling.
     const auto inst = pc_instance(120, 12);
-    const mech::ApprovalSizeThreshold m(1);
-    election::EvalOptions pooled;
-    pooled.replications = 160;
-    pooled.threads = 4;
-    pooled.use_thread_pool = true;
-    election::EvalOptions legacy = pooled;
-    legacy.use_thread_pool = false;
+    const mech::ApprovalSizeThreshold threshold(1);
+    const mech::MultiDelegate multi(3, 1);
+    std::vector<std::uint64_t> weights(120);
+    Rng weight_rng(22);
+    for (auto& w : weights) w = 1 + weight_rng.next() % 4;
+    // Fewer workers than chunks at threads 4 and 7: the caller helps.
+    ld::support::ThreadPool pool(3);
+    election::ReplicationEngine engine(pool);
 
-    Rng rng_a(21), rng_b(21);
-    const auto via_pool = election::estimate_correct_probability(m, inst, rng_a, pooled);
-    const auto via_spawn = election::estimate_correct_probability(m, inst, rng_b, legacy);
-    EXPECT_DOUBLE_EQ(via_pool.value, via_spawn.value);
-    EXPECT_DOUBLE_EQ(via_pool.std_error, via_spawn.std_error);
+    for (const std::size_t threads : {2, 4, 7}) {
+        for (const int route : {0, 1, 2, 3}) {
+            for (const bool weighted : {false, true}) {
+                SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                                  << " route=" << route
+                                                  << " weighted=" << weighted);
+                election::EvalOptions opts;
+                opts.replications = 160;
+                opts.threads = threads;
+                opts.engine = &engine;
+                opts.tally_epsilon = route == 1 ? 1e-12 : 0.0;
+                opts.approximate_tally = route == 2;
+                if (weighted) opts.initial_weights = weights;
+                const mech::Mechanism& m =
+                    route == 3 ? static_cast<const mech::Mechanism&>(multi) : threshold;
+
+                Rng ref_rng(21);
+                const auto reference =
+                    ld::test::sequential_reference(m, inst, ref_rng, opts);
+
+                Rng rng_a(21), rng_b(21);
+                const auto pm =
+                    election::estimate_correct_probability(m, inst, rng_a, opts);
+                EXPECT_EQ(pm.value, reference.pm.value);
+                EXPECT_EQ(pm.std_error, reference.pm.std_error);
+                EXPECT_EQ(pm.ci.lo, reference.pm.ci.lo);
+                EXPECT_EQ(pm.ci.hi, reference.pm.ci.hi);
+                EXPECT_EQ(pm.replications, reference.pm.replications);
+                ld::test::expect_same_report(
+                    election::estimate_gain(m, inst, rng_b, opts), reference);
+                const auto next = ref_rng.next();
+                EXPECT_EQ(rng_a.next(), next);
+                EXPECT_EQ(rng_b.next(), next);
+            }
+        }
+    }
 }
 
 TEST(ParallelEval, PooledThreadCountsAgreeWithinError) {

@@ -260,6 +260,51 @@ TEST(SweepEngine, ResumeRefusesAChangedSpec) {
     EXPECT_THROW(engine.run(std::cout), exp::SweepError);
 }
 
+/// `text` with the value after the first `"key": ` replaced by `value`.
+std::string with_value(std::string text, const std::string& key,
+                       const std::string& value) {
+    const std::size_t at = text.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t start = at + key.size() + 4;
+    text.replace(start, text.find_first_of(",\n}", start) - start, value);
+    return text;
+}
+
+TEST(SweepEngine, ResumeRefusesACorruptCheckpoint) {
+    auto options = options_for("resume_corrupt");
+    options.checkpoint_path = options.output_path + ".ckpt.json";
+    options.max_cells = 1;
+    exp::SweepEngine(tiny_spec(), options).run(std::cout);
+    const std::string manifest = read_file(options.checkpoint_path);
+    ASSERT_NE(manifest.find("\"0\": "), std::string::npos);
+
+    std::vector<std::string> corrupt;
+    for (const std::string bad : {"1e300", "-1", "\"18446744073709551616\"", "\"abc\""}) {
+        corrupt.push_back(with_value(manifest, "threads", bad));
+        corrupt.push_back(with_value(manifest, "index", bad));
+        corrupt.push_back(with_value(manifest, "count", bad));
+    }
+    for (const std::string key : {"18446744073709551616", "abc", "-1", "", "1x"}) {
+        std::string text = manifest;
+        text.replace(text.find("\"0\": "), 3, "\"" + key + "\"");
+        corrupt.push_back(text);
+    }
+    options.resume = true;
+    options.max_cells = 0;
+    for (const auto& text : corrupt) {
+        SCOPED_TRACE(text);
+        std::ofstream(options.checkpoint_path, std::ios::trunc) << text;
+        try {
+            exp::SweepEngine(tiny_spec(), options).run(std::cout);
+            ADD_FAILURE() << "corrupt checkpoint accepted";
+        } catch (const exp::SweepError& e) {
+            EXPECT_NE(std::string(e.what()).find(options.checkpoint_path),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SweepEngine, ShardUnionEqualsUnshardedRun) {
     auto full = options_for("shard_full");
     exp::SweepEngine(tiny_spec(), full).run(std::cout);

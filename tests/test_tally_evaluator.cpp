@@ -20,6 +20,7 @@
 #include "ld/mech/multi_delegate.hpp"
 #include "ld/model/competency_gen.hpp"
 #include "prob/poisson_binomial.hpp"
+#include "sequential_reference.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -233,23 +234,7 @@ TEST(Evaluator, VarianceOfDirectVotingMatchesFormula) {
 using ld::election::EvalOptions;
 using ld::election::GainReport;
 
-void expect_same_report(const GainReport& a, const GainReport& b) {
-    EXPECT_EQ(a.pd, b.pd);
-    EXPECT_EQ(a.pm.value, b.pm.value);
-    EXPECT_EQ(a.pm.std_error, b.pm.std_error);
-    EXPECT_EQ(a.pm.ci.lo, b.pm.ci.lo);
-    EXPECT_EQ(a.pm.ci.hi, b.pm.ci.hi);
-    EXPECT_EQ(a.pm.replications, b.pm.replications);
-    EXPECT_EQ(a.pm.certified.has_value(), b.pm.certified.has_value());
-    EXPECT_EQ(a.gain, b.gain);
-    EXPECT_EQ(a.gain_ci.lo, b.gain_ci.lo);
-    EXPECT_EQ(a.gain_ci.hi, b.gain_ci.hi);
-    EXPECT_EQ(a.mean_delegators, b.mean_delegators);
-    EXPECT_EQ(a.mean_max_weight, b.mean_max_weight);
-    EXPECT_EQ(a.mean_sinks, b.mean_sinks);
-    EXPECT_EQ(a.mean_longest_path, b.mean_longest_path);
-    EXPECT_EQ(a.certified_gain.has_value(), b.certified_gain.has_value());
-}
+using ld::test::expect_same_report;
 
 double direct_probability(const model::Instance& inst, const EvalOptions& opts) {
     return opts.approximate_tally
@@ -295,13 +280,11 @@ TEST(EstimateGainOverlap, ReportEqualsPdFirstReference) {
                 reference.gain = reference.pm.value - reference.pd;
                 reference.gain_ci = {reference.pm.ci.lo - reference.pd,
                                      reference.pm.ci.hi - reference.pd};
-                // The raw-thread route still computes P^D before it starts
+                // The sequential reference computes P^D before it starts
                 // any replication: same streams, same chunks.
-                EvalOptions raw = opts;
-                raw.use_thread_pool = false;
-                Rng raw_rng(23);
+                Rng seq_rng(23);
                 const GainReport sequential =
-                    ld::election::estimate_gain(m, inst, raw_rng, raw);
+                    ld::test::sequential_reference(m, inst, seq_rng, opts);
                 reference.mean_delegators = sequential.mean_delegators;
                 reference.mean_max_weight = sequential.mean_max_weight;
                 reference.mean_sinks = sequential.mean_sinks;
