@@ -19,6 +19,7 @@
 #include "ld/delegation/realize.hpp"
 #include "ld/game/delegation_game.hpp"
 #include "ld/model/competency_gen.hpp"
+#include "ld/model/instance.hpp"
 #include "ld/election/evaluator.hpp"
 #include "ld/election/tally.hpp"
 #include "ld/election/tally_delta.hpp"
@@ -43,7 +44,24 @@ void BM_GenerateComplete(benchmark::State& state) {
     }
     state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
 }
-BENCHMARK(BM_GenerateComplete)->Arg(100)->Arg(400)->Complexity();
+BENCHMARK(BM_GenerateComplete)->Arg(100)->Arg(400)->Arg(2000)->Complexity();
+
+// Approval-CSR construction on K_n (the Theorem 2 graph): one count pass
+// and one fill pass over all n(n-1) half-edges.  The graph copy is made
+// outside the timed region.
+void BM_BuildInstance(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    rng::Rng rng(3);
+    const graph::Graph graph = graph::make_complete(n);
+    const auto comps = model::uniform_competencies(rng, n, 0.3, 0.7);
+    for (auto _ : state) {
+        state.PauseTiming();
+        graph::Graph copy = graph;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(model::Instance(std::move(copy), comps, 0.05));
+    }
+}
+BENCHMARK(BM_BuildInstance)->Arg(2000);
 
 void BM_GenerateDRegular(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

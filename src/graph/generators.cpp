@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -26,11 +27,22 @@ void check_vertex_range(std::size_t n, const std::string& context) {
 }  // namespace
 
 Graph make_complete(std::size_t n) {
-    GraphBuilder b(n);
-    for (Vertex u = 0; u < n; ++u) {
-        for (Vertex v = u + 1; v < n; ++v) b.add_edge(u, v);
+    // n <= 2^32 keeps every id a Vertex and n*(n-1) within 64 bits; the
+    // check runs before anything is allocated.
+    check_vertex_range(n, "make_complete");
+    // Fill the CSR directly: row v is every u != v, ascending, at offset
+    // v*(n-1).  No edge list, no sort.  The neighbour array is allocated
+    // first, so a size it cannot hold fails before the offsets exist.
+    const std::size_t degree = n == 0 ? 0 : n - 1;
+    std::vector<Vertex> neighbours(n * degree);
+    std::vector<std::size_t> offsets(n + 1);
+    for (std::size_t v = 0; v <= n; ++v) offsets[v] = v * degree;
+    for (std::size_t v = 0; v < n; ++v) {
+        Vertex* row = neighbours.data() + offsets[v];
+        std::iota(row, row + v, Vertex{0});
+        std::iota(row + v, row + degree, static_cast<Vertex>(v + 1));
     }
-    return b.build();
+    return Graph::from_csr(std::move(offsets), std::move(neighbours));
 }
 
 Graph make_star(std::size_t n) {

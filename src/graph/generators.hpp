@@ -19,7 +19,7 @@
 
 namespace ld::graph {
 
-/// Complete graph on n vertices.
+/// Complete graph on n vertices (n <= 2^32), its CSR filled directly.
 Graph make_complete(std::size_t n);
 
 /// Star: vertex 0 is the centre, vertices 1..n-1 are leaves.  n >= 1.

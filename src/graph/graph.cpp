@@ -27,14 +27,23 @@ Graph Graph::from_csr(std::vector<std::size_t> offsets, std::vector<Vertex> neig
                     "from_csr: adjacency must be ascending and deduplicated");
         }
     }
-    Graph g(std::move(offsets), std::move(neighbours));
-    // Symmetry: every half-edge must have its mirror.
-    for (Vertex v = 0; v < n; ++v) {
-        for (Vertex u : g.neighbours(v)) {
-            expects(g.has_edge(u, v), "from_csr: adjacency must be symmetric");
+    // Symmetry by a cursor walk, O(n + m) with no search.  Visiting v
+    // ascending, the entries of v before cursor[v] were consumed as the
+    // mirrors of earlier queries; each remaining (v, u) is a query whose
+    // mirror must be the next unconsumed entry of u's ascending list.
+    // Every half-edge is thus a query that found its mirror or the mirror
+    // of one.  On a symmetric graph only the u > v half is queried.
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t i = cursor[v]; i < offsets[v + 1]; ++i) {
+            const Vertex u = neighbours[i];
+            std::size_t& next = cursor[u];
+            expects(next < offsets[u + 1] && neighbours[next] == v,
+                    "from_csr: adjacency must be symmetric");
+            ++next;
         }
     }
-    return g;
+    return Graph(std::move(offsets), std::move(neighbours));
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const {
@@ -84,13 +93,9 @@ Graph GraphBuilder::build() const {
         neighbours[cursor[e.u]++] = e.v;
         neighbours[cursor[e.v]++] = e.u;
     }
-    // Per-vertex adjacency is ascending because edges were processed in
-    // sorted order for `u` but not for `v`; sort each range to make the
-    // invariant unconditional.
-    for (std::size_t v = 0; v < n_; ++v) {
-        std::sort(neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                  neighbours.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    }
+    // Each range is already ascending: for vertex x the sorted edges
+    // deliver its smaller neighbours (edges (u, x), ascending u) before
+    // its larger ones (edges (x, v), ascending v).
     return Graph(std::move(offsets), std::move(neighbours));
 }
 

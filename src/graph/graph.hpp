@@ -28,8 +28,8 @@ class GraphBuilder;
 ///
 /// Stored in CSR form: `offsets_[v] .. offsets_[v+1]` indexes into
 /// `neighbours_`, which lists each vertex's neighbours in ascending order.
-/// Construction is only possible through `GraphBuilder`, which deduplicates
-/// and validates.
+/// Construction goes through `GraphBuilder`, which deduplicates, or
+/// `from_csr`, which validates.
 class Graph {
 public:
     /// An empty graph with `n` vertices and no edges.
@@ -37,10 +37,11 @@ public:
 
     /// Adopt an already-assembled CSR (offsets size n+1, neighbours size
     /// 2m with each vertex's range ascending, deduplicated, loop-free,
-    /// and symmetric).  Validates the invariants in O(n + m) and throws
-    /// ContractViolation on any breach — the escape hatch for builders
-    /// (the streaming generation subsystem) that assemble CSR directly
-    /// instead of buffering an edge list through GraphBuilder.
+    /// and symmetric).  Validates the invariants in O(n + m) — symmetry
+    /// by one cursor walk, no per-half-edge search — and throws
+    /// ContractViolation on any breach.  The entry point for builders
+    /// that assemble CSR directly instead of buffering an edge list
+    /// through GraphBuilder (make_complete, the streaming generators).
     static Graph from_csr(std::vector<std::size_t> offsets,
                           std::vector<Vertex> neighbours);
 

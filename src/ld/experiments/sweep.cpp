@@ -92,7 +92,7 @@ json::Value cell_to_json(const support::Cell& cell) {
 support::Cell cell_from_json(const json::Value& v, const std::string& where) {
     if (v.is_string()) return v.as_string();
     if (v.is_number()) return v.as_number();
-    throw SweepError("sweep checkpoint: " + where + ": row fields must be strings or numbers");
+    throw json::Error(where + ": row fields must be strings or numbers");
 }
 
 std::string hex_seed(std::uint64_t seed) {
@@ -391,19 +391,16 @@ std::map<std::size_t, SweepEngine::Row> SweepEngine::load_checkpoint() const {
     if (!probe.good()) return done;  // nothing to resume from: fresh run
     probe.close();
 
-    const json::Value doc = json::parse_file(options_.checkpoint_path);
     const auto check = [&](bool ok, const std::string& what) {
         if (!ok) {
             throw SweepError("sweep: checkpoint '" + options_.checkpoint_path +
                              "' does not match this run: " + what);
         }
     };
-    check(doc.at("schema").as_string() == "liquidd.sweep.v1", "schema");
-    check(doc.at("spec_fingerprint").as_string() == hex_seed(spec_.fingerprint()),
-          "spec changed since the checkpoint was written");
     // A hand-edited or corrupt manifest is refused, never cast: counts go
     // through the option table's range-checked cast, keys must be plain
-    // decimal indices.
+    // decimal indices, and every lookup runs inside the try below, so a
+    // missing key or a wrong type names the file too.
     const auto corrupt = [&](const std::string& what) {
         return SweepError("sweep: checkpoint '" + options_.checkpoint_path +
                           "' is corrupt: " + what);
@@ -415,27 +412,38 @@ std::map<std::size_t, SweepEngine::Row> SweepEngine::load_checkpoint() const {
             throw corrupt(what + " " + e.what());
         }
     };
-    check(count_at(doc.at("shard").at("index"), "shard.index") == options_.shard.index &&
-              count_at(doc.at("shard").at("count"), "shard.count") ==
-                  options_.shard.count,
-          "shard assignment differs");
-    check(count_at(doc.at("threads"), "threads") == resolved_threads_,
-          "thread count differs (the replication split depends on it)");
+    try {
+        const json::Value doc = json::parse_file(options_.checkpoint_path);
+        check(doc.at("schema").as_string() == "liquidd.sweep.v1", "schema");
+        check(doc.at("spec_fingerprint").as_string() == hex_seed(spec_.fingerprint()),
+              "spec changed since the checkpoint was written");
+        check(count_at(doc.at("shard").at("index"), "shard.index") ==
+                      options_.shard.index &&
+                  count_at(doc.at("shard").at("count"), "shard.count") ==
+                      options_.shard.count,
+              "shard assignment differs");
+        check(count_at(doc.at("threads"), "threads") == resolved_threads_,
+              "thread count differs (the replication split depends on it)");
 
-    const std::size_t width = row_headers().size();
-    for (const auto& [key, fields] : doc.at("cells").as_object()) {
-        std::size_t index = 0;
-        const char* end = key.data() + key.size();
-        const auto parsed = std::from_chars(key.data(), end, index);
-        if (parsed.ec != std::errc() || parsed.ptr != end) {
-            throw corrupt("cell key '" + key + "' is not a cell index");
+        const std::size_t width = row_headers().size();
+        for (const auto& [key, fields] : doc.at("cells").as_object()) {
+            std::size_t index = 0;
+            const char* end = key.data() + key.size();
+            const auto parsed = std::from_chars(key.data(), end, index);
+            if (parsed.ec != std::errc() || parsed.ptr != end) {
+                throw corrupt("cell key '" + key + "' is not a cell index");
+            }
+            const json::Array& array = fields.as_array();
+            check(array.size() == width, "cell " + key + " has wrong width");
+            Row row;
+            row.reserve(width);
+            for (const auto& field : array) {
+                row.push_back(cell_from_json(field, "cell " + key));
+            }
+            done.emplace(index, std::move(row));
         }
-        const json::Array& array = fields.as_array();
-        check(array.size() == width, "cell " + key + " has wrong width");
-        Row row;
-        row.reserve(width);
-        for (const auto& field : array) row.push_back(cell_from_json(field, "cell " + key));
-        done.emplace(index, std::move(row));
+    } catch (const json::Error& e) {  // unparsable, missing key or wrong type
+        throw corrupt(e.what());
     }
     return done;
 }

@@ -17,22 +17,30 @@ Instance::Instance(graph::Graph g, CompetencyVector p, double alpha)
     expects(alpha_ > 0.0, "Instance: alpha must be positive (acyclicity requires it)");
     // Precompute the approval CSR: one O(n + m) pass at construction buys
     // allocation-free approved_neighbours_view() in the replication loop.
+    // Both passes are branch-free (the approval test is data-dependent and
+    // mispredicts): count, then fill by writing every neighbour and
+    // advancing the cursor only past approved ones.  A stray write lands
+    // on a slot that its owner overwrites later, or on the one slack slot
+    // past the end, which is dropped.
     const std::size_t n = graph_.vertex_count();
+    const double* competency = competencies_.values().data();
     approved_offsets_.assign(n + 1, 0);
     for (graph::Vertex v = 0; v < n; ++v) {
+        const double bar = competency[v] + alpha_;
         std::size_t count = 0;
-        for (graph::Vertex w : graph_.neighbours(v)) {
-            if (competencies_[v] + alpha_ <= competencies_[w]) ++count;
-        }
+        for (graph::Vertex w : graph_.neighbours(v)) count += bar <= competency[w];
         approved_offsets_[v + 1] = approved_offsets_[v] + count;
     }
-    approved_flat_.resize(approved_offsets_[n]);
+    approved_flat_.resize(approved_offsets_[n] + 1);
     for (graph::Vertex v = 0; v < n; ++v) {
-        std::size_t at = approved_offsets_[v];
+        const double bar = competency[v] + alpha_;
+        graph::Vertex* at = approved_flat_.data() + approved_offsets_[v];
         for (graph::Vertex w : graph_.neighbours(v)) {
-            if (competencies_[v] + alpha_ <= competencies_[w]) approved_flat_[at++] = w;
+            *at = w;
+            at += bar <= competency[w];
         }
     }
+    approved_flat_.pop_back();
 }
 
 std::vector<graph::Vertex> Instance::approved_neighbours(graph::Vertex v) const {

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gen/chunked_csr.hpp"
@@ -458,8 +459,44 @@ TEST(GenPlumbing, ChunkBufferCanonicalisesAndFlushes) {
     EXPECT_EQ(sink.edges()[0], (ld::graph::Edge{2, 5}));
 }
 
+/// Per-vertex adjacency rows of `graph`, and back to CSR arrays.
+using Rows = std::vector<std::vector<Vertex>>;
+
+Rows rows_of(const Graph& graph) {
+    Rows rows;
+    for (Vertex v = 0; v < graph.vertex_count(); ++v) {
+        const auto nbrs = graph.neighbours(v);
+        rows.emplace_back(nbrs.begin(), nbrs.end());
+    }
+    return rows;
+}
+
+Graph from_rows(const Rows& rows) {
+    std::vector<std::size_t> offsets{0};
+    std::vector<Vertex> neighbours;
+    for (const auto& row : rows) {
+        neighbours.insert(neighbours.end(), row.begin(), row.end());
+        offsets.push_back(neighbours.size());
+    }
+    return Graph::from_csr(std::move(offsets), std::move(neighbours));
+}
+
+/// Expects `build` to throw the symmetry check's ContractViolation, not
+/// an earlier check's.
+template <typename Build>
+void expect_refused_as_asymmetric(Build build) {
+    try {
+        build();
+        ADD_FAILURE() << "asymmetric CSR accepted";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("adjacency must be symmetric"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(GenPlumbing, FromCsrRejectsBrokenInvariants) {
-    // Asymmetric: 0->1 without 1->0.
+    // Asymmetric: 0->1 without 1->0 (odd half-edge count, refused early).
     EXPECT_THROW(Graph::from_csr({0, 1, 1}, {1}), ContractViolation);
     // Self-loop.
     EXPECT_THROW(Graph::from_csr({0, 1, 2}, {0, 1}), ContractViolation);
@@ -467,6 +504,98 @@ TEST(GenPlumbing, FromCsrRejectsBrokenInvariants) {
     const Graph ok = Graph::from_csr({0, 1, 2}, {1, 0});
     EXPECT_EQ(ok.edge_count(), 1u);
     EXPECT_TRUE(ok.has_edge(0, 1));
+}
+
+TEST(GenPlumbing, FromCsrRejectsAsymmetryThatPassesEveryEarlierCheck) {
+    // Even, in range, loop-free and ascending, but 2->3 and 3->1 have no
+    // mirror.
+    expect_refused_as_asymmetric([] { Graph::from_csr({0, 1, 2, 3, 4}, {1, 0, 3, 1}); });
+    // 0->1 and 1->2 only: a directed path.
+    expect_refused_as_asymmetric([] { Graph::from_csr({0, 1, 2, 2}, {1, 2}); });
+    // Most half-edges are mirrored (0-1, 1-3), 0->2 and 4->3 are not.
+    expect_refused_as_asymmetric(
+        [] { Graph::from_csr({0, 2, 4, 4, 5, 6}, {1, 2, 0, 3, 1, 3}); });
+    // The symmetric counterparts are accepted.
+    EXPECT_EQ(Graph::from_csr({0, 1, 2, 3, 4}, {1, 0, 3, 2}).edge_count(), 2u);
+    EXPECT_EQ(Graph::from_csr({0, 1, 3, 4}, {1, 0, 2, 1}).edge_count(), 2u);
+}
+
+TEST(GenPlumbing, FromCsrSymmetryMatchesBruteForceOnRandomSmallCsrs) {
+    // Random loop-free ascending rows with an even half-edge count, so only
+    // the symmetry check can refuse them; a quarter start from a symmetric
+    // graph so both outcomes are common.
+    ld::rng::Rng rng(23);
+    std::size_t symmetric = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const std::size_t n = 2 + rng.next_below(5);
+        std::vector<std::vector<bool>> adjacent(n, std::vector<bool>(n, false));
+        const bool mirror = rng.next_below(4) == 0;
+        for (std::size_t v = 0; v < n; ++v) {
+            for (std::size_t u = mirror ? v + 1 : 0; u < n; ++u) {
+                if (u == v || rng.next_below(2) == 0) continue;
+                adjacent[v][u] = true;
+                if (mirror) adjacent[u][v] = true;
+            }
+        }
+        Rows rows(n);
+        std::size_t half_edges = 0;
+        for (std::size_t v = 0; v < n; ++v) {
+            for (std::size_t u = 0; u < n; ++u) {
+                if (adjacent[v][u]) rows[v].push_back(static_cast<Vertex>(u));
+            }
+            half_edges += rows[v].size();
+        }
+        if (half_edges % 2 != 0) continue;
+        bool is_symmetric = true;
+        for (std::size_t v = 0; v < n; ++v) {
+            for (std::size_t u = 0; u < n; ++u) {
+                is_symmetric = is_symmetric && adjacent[v][u] == adjacent[u][v];
+            }
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        if (is_symmetric) {
+            ++symmetric;
+            EXPECT_EQ(from_rows(rows).edge_count(), half_edges / 2);
+        } else {
+            expect_refused_as_asymmetric([&] { from_rows(rows); });
+        }
+    }
+    EXPECT_GT(symmetric, 500u);
+}
+
+TEST(GenPlumbing, FromCsrRoundTripsEveryFamilyAndRefusesOneChangedEntry) {
+    for (const auto& config : representative_configs()) {
+        SCOPED_TRACE(config.describe());
+        const Graph graph = gen::generate_graph(config);
+        ASSERT_GT(graph.edge_count(), 0u);
+        Rows rows = rows_of(graph);
+        EXPECT_EQ(from_rows(rows), graph);
+
+        // Bump one entry to the next free value: the row stays ascending,
+        // deduplicated and loop-free, but (v, u) and (v, u + 1) lose their
+        // mirrors.  K_n's rows are full, so for it drop the half-edges
+        // 0->1 and 2->0 instead (1->0 and 0->2 are left unmirrored).
+        bool changed = false;
+        for (std::size_t v = 0; v < rows.size() && !changed; ++v) {
+            auto& row = rows[v];
+            for (std::size_t i = 0; i < row.size() && !changed; ++i) {
+                const std::size_t bumped = std::size_t{row[i]} + 1;
+                const std::size_t next = i + 1 < row.size() ? row[i + 1] : rows.size();
+                if (bumped < next && bumped != v) {
+                    row[i] = static_cast<Vertex>(bumped);
+                    changed = true;
+                }
+            }
+        }
+        if (config.family == gen::Family::Complete) {
+            ASSERT_FALSE(changed);
+            rows[0].erase(rows[0].begin());  // 0->1
+            rows[2].erase(rows[2].begin());  // 2->0
+            changed = true;
+        }
+        ASSERT_TRUE(changed);
+        expect_refused_as_asymmetric([&] { from_rows(rows); });
+    }
 }
 
 TEST(GenPlumbing, MetricsAreRecorded) {

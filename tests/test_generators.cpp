@@ -82,6 +82,17 @@ TEST(Generators, RejectSizesBeyondVertexRange) {
     EXPECT_THROW(g::make_random_d_regular(rng, beyond, 2), ContractViolation);
     EXPECT_THROW(g::make_barabasi_albert(rng, beyond, 2), ContractViolation);
     EXPECT_THROW(g::make_bounded_degree(rng, beyond, 2, 1), ContractViolation);
+    EXPECT_THROW(g::make_complete(beyond), ContractViolation);
+}
+
+TEST(Generators, CompleteEqualsBuilderReference) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+        g::GraphBuilder b(n);
+        for (Vertex u = 0; u < n; ++u) {
+            for (Vertex v = u + 1; v < n; ++v) b.add_edge(u, v);
+        }
+        EXPECT_EQ(g::make_complete(n), b.build()) << "n = " << n;
+    }
 }
 
 TEST(BoundedDegree, InfeasibleTargetDetectedWithoutOverflow) {

@@ -289,6 +289,30 @@ TEST(SweepEngine, ResumeRefusesACorruptCheckpoint) {
         text.replace(text.find("\"0\": "), 3, "\"" + key + "\"");
         corrupt.push_back(text);
     }
+    // Every key the loader reads, deleted in turn, and wrong-typed cells.
+    const json::Object doc = json::parse(manifest).as_object();
+    for (const std::string key :
+         {"schema", "spec_fingerprint", "shard", "threads", "cells"}) {
+        json::Object without = doc;
+        ASSERT_EQ(without.erase(key), 1u) << key;
+        corrupt.push_back(json::dump(json::Value(std::move(without)), 2));
+    }
+    for (const std::string key : {"index", "count"}) {
+        json::Object shard = doc.at("shard").as_object();
+        ASSERT_EQ(shard.erase(key), 1u) << key;
+        json::Object without = doc;
+        without["shard"] = json::Value(std::move(shard));
+        corrupt.push_back(json::dump(json::Value(std::move(without)), 2));
+    }
+    json::Object cell_as_object = doc.at("cells").as_object();
+    cell_as_object["0"] = json::Value(json::Object{});
+    for (json::Value cells : {json::Value(json::Array{}), json::Value(7.0),
+                              json::Value(std::move(cell_as_object))}) {
+        json::Object wrong = doc;
+        wrong["cells"] = std::move(cells);
+        corrupt.push_back(json::dump(json::Value(std::move(wrong)), 2));
+    }
+    corrupt.push_back(manifest.substr(0, manifest.size() / 2));  // truncated JSON
     options.resume = true;
     options.max_cells = 0;
     for (const auto& text : corrupt) {
